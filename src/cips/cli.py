@@ -300,6 +300,8 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
     _write_or_print(ResultTable(columns=gain_cols, rows=gain_rows, metadata=meta), args.out)
 
     s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
+    if not s_out:
+        return 0
     s_cols = ("t",) + tuple(f"s_{i}_{j}" for i in range(d) for j in range(d))
     s_rows = [
         (float(t),) + tuple(float(v) for v in S.reshape(-1))
@@ -309,7 +311,7 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
         columns=s_cols, rows=s_rows,
         metadata=_metadata(seed, "lqr-cov", meta["config"]),
     )
-    _write_or_print(s_table, s_out)
+    s_table.write(s_out)
     return 0
 
 
@@ -334,6 +336,14 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     mean_y = np.atleast_1d(_matrix(opts.get("mean_y", [0.0] * m), "mean_y"))
     jg = JointGaussian(mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_xy=cov_xy, cov_y=cov_y)
 
+    samples = int(opts.get("samples", 0) or 0)
+    method = str(opts.get("method", "ot"))
+    if samples > 0:
+        if not args.sample_out:
+            raise ConfigError("--samples requires --sample-out")
+        if method not in ("ot", "perturbed"):
+            raise ConfigError(f"unknown static-update method {method!r}")
+
     mean, cov = blue_update(jg, y)
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
@@ -341,25 +351,19 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     meta = _metadata(seed, "static-update", _fingerprint({k: str(v) for k, v in opts.items()}))
     _write_or_print(ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta), args.out)
 
-    samples = int(opts.get("samples", 0) or 0)
     if samples > 0:
-        method = str(opts.get("method", "ot"))
         rng = RngStream(seed)
         if method == "ot":
             x0, _ = jg.sample(rng, samples)
             transformed = ot_affine_map(jg)(x0, y)
-        elif method == "perturbed":
-            transformed = perturbed_enkf_map(jg, y, rng, samples)
         else:
-            raise ConfigError(f"unknown static-update method {method!r}")
+            transformed = perturbed_enkf_map(jg, y, rng, samples)
         sample_rows = [tuple(float(v) for v in row) for row in transformed]
         sample_table = ResultTable(
             columns=tuple(f"x_{i}" for i in range(d)),
             rows=sample_rows,
             metadata=_metadata(seed, f"static-samples-{method}", meta["config"]),
         )
-        if not args.sample_out:
-            raise ConfigError("--samples requires --sample-out")
         sample_table.write(args.sample_out)
     return 0
 
@@ -456,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", dest="horizon", type=float, default=None)
     p.add_argument("--oracle-only", dest="oracle_only", action="store_true", default=None)
     p.add_argument("--out-s", dest="out_s", type=str, default=None,
-                   help="covariance-path CSV (default: <out>.s.csv)")
+                   help="covariance-path CSV (default: <out>.s.csv; "
+                   "not written when neither is given)")
     p.set_defaults(func=cmd_lqr_solve)
 
     p = sub.add_parser("static-update", help="Gaussian conditioning maps")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import RngStream
-from .exceptions import FilterDivergenceError
+from .exceptions import ConfigError, FilterDivergenceError
 from .gain import (
     BasisSet,
     GainField,
@@ -74,11 +74,24 @@ class GalerkinGainMethod:
         return galerkin_gain(particles, h_values, self.basis)
 
 
+def _bandwidth_spec(eps) -> float | str:
+    """'auto' or a positive finite float; numeric strings are accepted."""
+    if eps == "auto":
+        return eps
+    try:
+        value = float(eps)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if isinstance(eps, bool) or not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"eps must be 'auto' or a positive number, got {eps!r}")
+    return value
+
+
 class DiffusionMapGainMethod:
     """Diffusion-map approximation, warm-starting each solve from the last."""
 
     def __init__(self, eps: float | str = "auto", num_sweeps: int | None = None):
-        self.eps = eps
+        self.eps = _bandwidth_spec(eps)
         self.num_sweeps = num_sweeps
         self._phi_prev: np.ndarray | None = None
 
@@ -118,6 +131,8 @@ def fpf_step(
 
     try:
         field = gain_method(x, h)
+    except ConfigError:
+        raise
     except Exception as exc:
         raise FilterDivergenceError(
             f"gain computation failed at t={ens.time:.6g}: {exc}"

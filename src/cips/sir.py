@@ -118,10 +118,16 @@ def static_is_modified(
 
 
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Systematic resampling; returns N particle indices."""
+    """Systematic resampling; returns N particle indices in [0, N).
+
+    The last cumulative weight is pinned to 1: rounding can leave the sum
+    just below 1, and a position above it would index past the end.
+    """
     n = weights.shape[0]
     positions = (np.arange(n) + rng.random()) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, positions)
 
 
 def bootstrap_pf_step(

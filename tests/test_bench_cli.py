@@ -31,6 +31,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(experiment="nope")
 
+    def test_levelsets_needs_two_reps(self):
+        with pytest.raises(ConfigError, match="reps"):
+            RunConfig(experiment="mse-levelsets", reps=1)
+        RunConfig(experiment="mse-levelsets", reps=2)
+        RunConfig(experiment="bias-variance", reps=1, eps_list=(0.1,))
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):
             RunConfig(experiment="mse-levelsets", n_list=(1,))
@@ -114,7 +120,49 @@ class TestModifiedPfOracle:
             assert float(w[i] @ samples[i, :, 0]) == pytest.approx(ref, rel=1e-12)
 
 
+def particle_loop_fpf_mse(d, num_particles, reps, rng, sigma0=1.0, sigma_w=1.0,
+                          dt=0.02, chunk=128):
+    """Reference for static_fpf_mse: steps all N particles of every replicate.
+
+    Same draws in the same order as the moment recursion (truth, prior
+    ensemble, then one observation increment per step, per chunk substream).
+    """
+    a = np.ones(d) / np.sqrt(d)
+    chunk = max(1, min(chunk, int(1e7 // max(num_particles * d, 1)) or 1))
+    num_steps = int(round(1.0 / dt))
+    sq_errors = np.empty(reps)
+    done = 0
+    while done < reps:
+        take = min(chunk, reps - done)
+        sub = rng.substream(done)
+        truth = sigma0 * sub.standard_normal((take, d))
+        x = sigma0 * sub.standard_normal((take, num_particles, d))
+        z1 = np.zeros((take, d))
+        for _ in range(num_steps):
+            dz = truth * dt + sigma_w * np.sqrt(dt) * sub.standard_normal((take, d))
+            z1 += dz
+            mean = x.mean(axis=1, keepdims=True)
+            centered = x - mean
+            cov = centered.transpose(0, 2, 1) @ centered / (num_particles - 1)
+            innov = dz[:, None, :] - 0.5 * (x + mean) * dt
+            x = x + (innov @ cov) / sigma_w**2
+        target = (z1 @ a) * sigma0**2 / (sigma0**2 + sigma_w**2)
+        sq_errors[done : done + take] = ((x @ a).mean(axis=1) - target) ** 2
+        done += take
+    return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / np.sqrt(reps))
+
+
 class TestStaticBenchmarkCells:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n, reps, kwargs", [
+        (20, 150, {}),                                   # crosses the default chunk of 128
+        (7, 23, dict(chunk=5, sigma0=1.7, sigma_w=0.6, dt=0.05)),
+    ])
+    def test_fpf_moment_recursion_matches_particle_loop(self, d, n, reps, kwargs):
+        got = static_fpf_mse(d, n, reps, RngStream(31 + d), **kwargs)
+        ref = particle_loop_fpf_mse(d, n, reps, RngStream(31 + d), **kwargs)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
     def test_fpf_cell_consistent_with_module_filters(self):
         # the vectorized recursion must agree statistically with stepping the
         # square-root ensemble filter through the module API
@@ -233,6 +281,28 @@ class TestCli:
         s_lines = (tmp_path / "gain.csv.s.csv").read_text().splitlines()
         assert [ln for ln in s_lines if not ln.startswith("#")][0] == "t,s_0_0,s_0_1,s_1_0,s_1_1"
 
+    def test_lqr_solve_stdout_is_one_table(self, capsys):
+        code = main(["lqr-solve", "--d", "2", "--n", "50", "--seed", "1",
+                     "--T", "0.2", "--dt", "0.02"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        meta = [ln for ln in lines if ln.startswith("#")]
+        data = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        assert meta == lines[:len(meta)]
+        assert sum(ln.startswith("# version") for ln in meta) == 1
+        assert data[0] == ["t", "k_0_0", "k_0_1"]
+        assert len(data) == 1 + 11
+        assert all(len(row) == 3 and all(np.isfinite(float(v)) for v in row)
+                   for row in data[1:])
+
+    def test_lqr_solve_out_s_without_out(self, tmp_path, capsys):
+        s_path = tmp_path / "s.csv"
+        code = main(["lqr-solve", "--d", "2", "--n", "50", "--seed", "1",
+                     "--T", "0.2", "--dt", "0.02", "--out-s", str(s_path)])
+        assert code == 0
+        assert "t,k_0_0,k_0_1" in capsys.readouterr().out
+        assert "t,s_0_0,s_0_1,s_1_0,s_1_1" in s_path.read_text().splitlines()
+
     def test_gain_study_cli_schema(self, tmp_path):
         out = tmp_path / "gs.csv"
         code = main(["gain-study", "--eps-list", "0.2", "--n-list", "60",
@@ -292,6 +362,51 @@ class TestCli:
         samples = [ln for ln in sample_out.read_text().splitlines() if not ln.startswith("#")]
         assert samples[0] == "x_0"
         assert len(samples) == 51
+
+    def test_static_update_samples_need_sample_out_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "post.csv"
+        code = main([
+            "static-update",
+            "--cov-x", "[[1.0]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
+            "--y", "[2.0]", "--samples", "50", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--sample-out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filter_numeric_eps_runs(self, tmp_path):
+        out = tmp_path / "dm.csv"
+        code = main(["filter", "--method", "fpf-dm", "--eps", "0.1", "--d", "1",
+                     "--n", "80", "--dt", "0.1", "--T", "0.3", "--seed", "2",
+                     "--out", str(out)])
+        assert code == 0
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(data) == 1 + 4
+
+    def test_filter_numeric_eps_from_config(self, tmp_path):
+        cfg = tmp_path / "dm.ini"
+        cfg.write_text("[run]\nmethod = fpf-dm\neps = 0.1\nn = 80\ndt = 0.1\nhorizon = 0.3\n")
+        assert main(["filter", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("eps", ["banana", "0", "-0.5"])
+    def test_filter_bad_eps_exits_2(self, tmp_path, capsys, eps):
+        out = tmp_path / "dm.csv"
+        code = main(["filter", "--method", "fpf-dm", "--eps", eps, "--d", "1",
+                     "--n", "80", "--dt", "0.1", "--T", "0.3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "eps" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bench_levelsets_one_rep_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ls.csv"
+        code = main(["bench", "--experiment", "mse-levelsets", "--reps", "1",
+                     "--n-list", "20", "--d-list", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "reps" in err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cips.core import RngStream
-from cips.exceptions import FilterDivergenceError
+from cips.exceptions import ConfigError, FilterDivergenceError
 from cips.fpf import (
     ConstantGainMethod,
     DiffusionMapGainMethod,
@@ -98,6 +98,16 @@ class TestFpfStep:
         with pytest.raises(FilterDivergenceError, match="gain computation failed"):
             fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model, broken, RngStream(0))
 
+    def test_config_error_is_not_wrapped(self):
+        model = make_static_param(1, 1.0, 1.0)
+
+        def misconfigured(particles, h_values):
+            raise ConfigError("bad setting")
+
+        with pytest.raises(ConfigError, match="bad setting"):
+            fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model,
+                     misconfigured, RngStream(0))
+
     def test_rejects_bad_observation_shape(self):
         model = make_static_param(2, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -191,3 +201,17 @@ def test_diffusion_map_gain_method_warm_start_state():
     assert method._phi_prev is not None
     method.reset()
     assert method._phi_prev is None
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("auto", "auto"), (0.1, 0.1), ("0.1", 0.1), (" 2e-1 ", 0.2), (3, 3.0),
+])
+def test_diffusion_map_gain_method_normalises_eps(spec, expected):
+    assert DiffusionMapGainMethod(eps=spec).eps == expected
+
+
+@pytest.mark.parametrize("spec", ["banana", "", "Auto", 0.0, -0.1, "-1", "nan", "inf",
+                                  True, None, [0.1]])
+def test_diffusion_map_gain_method_rejects_bad_eps(spec):
+    with pytest.raises(ConfigError, match="eps"):
+        DiffusionMapGainMethod(eps=spec)

@@ -101,6 +101,23 @@ class TestResampling:
         idx = systematic_resample(np.array([1.0, 0.0]), RngStream(0))
         assert np.array_equal(idx, np.zeros(2, dtype=idx.dtype))
 
+    def test_draw_near_one_stays_in_range(self):
+        # Normalised weights can sum to just below 1 by rounding; a uniform
+        # draw just below 1 then put the last position past cumsum(w)[-1].
+        class NearOne:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        gen = np.random.default_rng(2024)
+        short = 0
+        for _ in range(2000):
+            w = gen.random(int(gen.integers(2, 50)))
+            w /= w.sum()
+            short += np.cumsum(w)[-1] < 1.0
+            idx = systematic_resample(w, NearOne())
+            assert idx.min() >= 0 and idx.max() < w.shape[0]
+        assert short > 0  # the case the pin guards against did occur
+
     def test_resampling_preserves_weighted_mean(self):
         particles = np.array([-2.0, -0.5, 0.3, 1.7])
         weights = np.array([0.1, 0.4, 0.3, 0.2])
