@@ -302,21 +302,25 @@ def modified_pf_conditional_moments(
 
 def modified_pf_conditional_var(
     z: np.ndarray, sigma0: float, sigma_w: float
-) -> float:
+) -> float | np.ndarray:
     """Conditional variance of one weight-times-f term given Z_1 = z.
 
     For f(x) = 1^T x / sqrt(d) the estimator error given z is the mean of N
     i.i.d. copies of xi = N W-bar f(X), so the conditional MSE is exactly
-    this value divided by N.
+    this value divided by N.  ``z`` is one point ``(d,)``, giving a float,
+    or a batch ``(K, d)``, giving the ``(K,)`` values row by row.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = z.shape[0]
+    z = np.asarray(z, dtype=float)
+    single = z.ndim <= 1
+    z = np.atleast_2d(z)
+    d = z.shape[1]
     m0, m1, m2 = modified_pf_conditional_moments(z, sigma0, sigma_w)
-    prod = np.prod(m0)
+    prod = np.prod(m0, axis=1)
     ratio1 = m1 / m0
-    second = np.sum(m2 / m0) + np.sum(ratio1) ** 2 - np.sum(ratio1**2)
+    second = np.sum(m2 / m0, axis=1) + np.sum(ratio1, axis=1) ** 2 - np.sum(ratio1**2, axis=1)
     gain = sigma0**2 / (sigma0**2 + sigma_w**2)
-    return float(prod * second / d - (gain * np.sum(z) / np.sqrt(d)) ** 2)
+    var = prod * second / d - (gain * np.sum(z, axis=1) / np.sqrt(d)) ** 2
+    return float(var[0]) if single else var
 
 
 def modified_pf_mse_exact(
@@ -377,7 +381,7 @@ def static_modified_pf_mse_hybrid(
     combos = np.array(list(iproduct(range(nodes_per_dim), repeat=d)))
     z_nodes = scale * t_nodes[combos]
     weights = np.prod(w1[combos], axis=1)
-    cond = np.array([modified_pf_conditional_var(z, sigma0, sigma_w) for z in z_nodes])
+    cond = modified_pf_conditional_var(z_nodes, sigma0, sigma_w)
 
     total_exact = modified_pf_mse_exact(d, num_particles, sigma0, sigma_w)
     bulk = np.linalg.norm(z_nodes, axis=1) <= radius_cut

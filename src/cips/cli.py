@@ -77,8 +77,18 @@ def load_config(path: str) -> dict:
     return merged
 
 
-def _merge(config: dict, args: argparse.Namespace, names: list[str]) -> dict:
-    """Start from config values, let non-None flags win."""
+def _merge(config: dict, args: argparse.Namespace, names: list[str],
+           extra: tuple[str, ...] = ()) -> dict:
+    """Start from config values, let non-None flags win.
+
+    A config key that is neither a flag name in ``names`` nor one of the
+    ``extra`` keys the subcommand reads is an error, so a misspelt key
+    cannot silently fall back to a default.
+    """
+    unknown = sorted(set(config) - set(names) - set(extra))
+    if unknown:
+        known = ", ".join(sorted(set(names) | set(extra)))
+        raise ConfigError(f"{args.command}: unknown config keys {unknown}; known keys: {known}")
     out = dict(config)
     for name in names:
         val = getattr(args, name, None)
@@ -139,14 +149,17 @@ def _write_or_print(table: ResultTable, out: str | None) -> None:
 # filter subcommand
 # ---------------------------------------------------------------------------
 
+# Config keys that only _build_model reads (the linear model's matrices).
+_MODEL_KEYS = ("a_matrix", "h_matrix", "sigma_b", "m0", "sigma0_matrix")
+
+
 def _build_model(opts: dict):
     kind = str(opts.get("model", "static"))
     if kind == "static":
         d = int(opts.get("d", 1))
         return make_static_param(d, float(opts.get("sigma0", 1.0)), float(opts.get("sigma_w", 1.0)))
     if kind == "linear":
-        required = ("a_matrix", "h_matrix", "sigma_b", "m0", "sigma0_matrix")
-        missing = [k for k in required if k not in opts]
+        missing = [k for k in _MODEL_KEYS if k not in opts]
         if missing:
             raise ConfigError(f"linear model needs config keys {missing}")
         return make_linear_gaussian(
@@ -178,7 +191,7 @@ def _moment_rows(times, means, covs):
 def cmd_filter(args: argparse.Namespace) -> int:
     opts = _merge(load_config(args.config) if args.config else {}, args, [
         "model", "d", "sigma0", "sigma_w", "method", "n", "dt", "horizon", "seed", "eps",
-    ])
+    ], extra=_MODEL_KEYS)
     method = str(opts.get("method", "fpf-const"))
     if method not in FILTER_METHODS:
         raise ConfigError(f"unknown filter method {method!r}; choose from {FILTER_METHODS}")
@@ -425,9 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
         p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", type=str, default=None, help="INI config file; flags win")
+
+    def jobs(p):
+        p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
 
     p = sub.add_parser("filter", help="run one filtering experiment")
     common(p)
@@ -444,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gain-study", help="diffusion-map gain error study")
     common(p)
+    jobs(p)
     p.add_argument("--density", type=str, default=None, help="density name (bimodal)")
     p.add_argument("--h", type=str, default=None, help="observable spec (x)")
     p.add_argument("--sigma2", type=float, default=None, help="bimodal component variance")
@@ -479,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark table reproduction")
     common(p)
+    jobs(p)
     p.add_argument("--experiment", choices=EXPERIMENT_NAMES, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--n-list", dest="n_list", type=str, default=None)

@@ -8,21 +8,22 @@ ensemble statistics in a single backward pass with no Riccati solve and no
 outer iteration.
 
 Everything runs under oracle access: when the explicit (A, B, C) matrices
-are withheld, dynamics are evaluated per particle through f(., 0), input
-injection through f(0, .), and C-products through unit-vector probes of the
-cost oracle.
+are withheld, the drift of the whole ensemble is one row-wise call of
+f(., 0) per step, and B and C come from one batched unit-vector probe of
+each oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import RngStream
 from .exceptions import FilterDivergenceError, NotPositiveDefiniteError
 from .linear_ensemble import empirical_moments
-from .models import LQProblem, lq_matrices
+from .models import LQProblem, call_rowwise, lq_matrices
 
 _JITTER_REL = 1e-9
 
@@ -46,12 +47,16 @@ class DualEnsembleState:
 
     @property
     def mean(self) -> np.ndarray:
-        return self.particles.mean(axis=0)
+        return self.moments[0]
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical mean n^(N) and covariance S^(N), formed once per state."""
+        return empirical_moments(self.particles)
 
     @property
     def cov(self) -> np.ndarray:
-        _, S = empirical_moments(self.particles)
-        return S
+        return self.moments[1]
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class GainPath:
 
 
 class _LQOps:
-    """Matrix products through explicit matrices or per-point oracle calls."""
+    """Matrix products through explicit matrices or row-wise oracle calls."""
 
     def __init__(self, lq: LQProblem, oracle_only: bool = False):
         self.lq = lq
@@ -71,18 +76,20 @@ class _LQOps:
         self._probe = oracle_only or not explicit
         if self._probe:
             # Column-probe recovery of B and C; the drift itself is evaluated
-            # per particle through the oracle.
+            # through the oracle, one row-wise call per step.
             self.A = None
             _, self.B, self.C = lq_matrices(lq, oracle_only=True)
         else:
             self.A, self.B, self.C = lq.A, lq.B, lq.C
+        self.ctc = self.C.T @ self.C
+        self.chol_R = np.linalg.cholesky(lq.R)
 
     def drift(self, states: np.ndarray) -> np.ndarray:
         """A @ Y^i for every row of ``states``."""
         if not self._probe:
             return states @ self.A.T
-        zu = np.zeros(self.lq.dim_input)
-        return np.stack([np.asarray(self.lq.dynamics(row, zu), dtype=float) for row in states])
+        zu = np.zeros((states.shape[0], self.lq.dim_input))
+        return call_rowwise("dynamics", self.lq.dynamics, states, zu, cols=self.lq.dim_state)
 
     def inject(self, inputs: np.ndarray) -> np.ndarray:
         """B @ xi^i for every row of ``inputs``."""
@@ -90,7 +97,7 @@ class _LQOps:
 
     def ctc_apply(self, states: np.ndarray) -> np.ndarray:
         """C^T C @ v for every row of ``states``."""
-        return states @ (self.C.T @ self.C).T
+        return states @ self.ctc.T
 
 
 def dual_enkf_init(lq: LQProblem, num_particles: int, rng: RngStream) -> DualEnsembleState:
@@ -123,12 +130,11 @@ def dual_enkf_backward_step(
         raise ValueError("dt must be positive")
     ops = ops or _LQOps(lq, oracle_only=False)
     y = st.particles
-    n_mean, S = empirical_moments(y)
+    n_mean, S = st.moments
 
     coupling = 0.5 * ops.ctc_apply(y + n_mean) @ S.T
-    chol_R = np.linalg.cholesky(lq.R)
     z = rng.standard_normal((y.shape[0], lq.dim_input))
-    xi = np.sqrt(dt) * np.linalg.solve(chol_R.T, z.T).T   # cov R^{-1} dt
+    xi = np.sqrt(dt) * np.linalg.solve(ops.chol_R.T, z.T).T   # cov R^{-1} dt
 
     y_new = y - (ops.drift(y) + coupling) * dt - ops.inject(xi)
     if not np.all(np.isfinite(y_new)):
@@ -154,7 +160,7 @@ def _solve_spd_with_jitter(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def dual_particles(st: DualEnsembleState) -> np.ndarray:
     """Transformed particles X^i = (S^(N))^{-1} (Y^i - n^(N)), shape (N, d)."""
-    n_mean, S = empirical_moments(st.particles)
+    n_mean, S = st.moments
     return _solve_spd_with_jitter(S, (st.particles - n_mean).T).T
 
 
@@ -226,11 +232,7 @@ def run_dual_enkf(
     One pass over the grid is the whole algorithm; there is no outer
     iteration to tune.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    num_steps = int(round(lq.horizon / dt))
-    if abs(num_steps * dt - lq.horizon) > 1e-9 * max(1.0, lq.horizon):
-        raise ValueError(f"horizon {lq.horizon} is not a multiple of dt {dt}")
+    num_steps = lq.num_steps(dt)
     ops = _LQOps(lq, oracle_only=oracle_only)
 
     st = dual_enkf_init(lq, num_particles, rng)

@@ -1,8 +1,11 @@
 """Exact finite-dimensional references: Kalman-Bucy filter and Riccati solvers.
 
 These are the ground-truth oracles against which every ensemble method in
-the package is compared, so accuracy choices here (RK4 for Riccati
-integration, per-step re-symmetrization) are deliberately conservative.
+the package is compared, so accuracy choices here (RK4 for the Riccati
+differential equations, per-step re-symmetrization) are deliberately
+conservative.  The algebraic Riccati equation is solved directly: the
+matrix sign function of its Hamiltonian gives the stable invariant
+subspace, and Newton-Kleinman steps polish the root to rounding.
 """
 
 from __future__ import annotations
@@ -136,92 +139,121 @@ def _rk4_matrix_step(X: np.ndarray, rhs, h: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _integrate_backward(lq: LQProblem, dt: float, X_T: np.ndarray, rhs, label: str) -> RiccatiPath:
+    """RK4 in reverse time tau = T - t from X_T, stored forward in t."""
+    num_steps = lq.num_steps(dt)
+    values = np.empty((num_steps + 1,) + X_T.shape)
+    values[num_steps] = X_T
+    X = X_T.copy()
+    for j in range(num_steps):
+        X = _rk4_matrix_step(X, rhs, dt)
+        if not np.all(np.isfinite(X)):
+            raise ConvergenceError(f"{label} integration blew up {j + 1} steps before T")
+        values[num_steps - 1 - j] = X
+    return RiccatiPath(times=dt * np.arange(num_steps + 1), values=values)
+
+
 def solve_dre_backward(lq: LQProblem, dt: float, oracle_only: bool = False) -> RiccatiPath:
     """Backward RK4 integration of the value Riccati equation from P_T.
 
     The returned path is indexed forward in time: ``values[k]`` is P at
     ``t = k * dt`` and ``values[-1] = P_T``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     A, B, C = lq_matrices(lq, oracle_only=oracle_only)
-    num_steps = int(round(lq.horizon / dt))
-    if abs(num_steps * dt - lq.horizon) > 1e-9 * max(1.0, lq.horizon):
-        raise ValueError(f"horizon {lq.horizon} is not a multiple of dt {dt}")
 
     def rhs(P):  # d P / d tau with tau = T - t
         return control_riccati_rhs(P, A, B, C, lq.R)
 
-    d = lq.dim_state
-    values = np.empty((num_steps + 1, d, d))
-    values[num_steps] = lq.P_T
-    P = lq.P_T.copy()
-    for j in range(num_steps):
-        P = _rk4_matrix_step(P, rhs, dt)
-        if not np.all(np.isfinite(P)):
-            raise ConvergenceError(f"Riccati integration blew up {j + 1} steps before T")
-        values[num_steps - 1 - j] = P
-    times = dt * np.arange(num_steps + 1)
-    return RiccatiPath(times=times, values=values)
+    return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
 
 
 def solve_dual_dre(lq: LQProblem, dt: float, oracle_only: bool = False) -> RiccatiPath:
     """Backward integration of the dual Riccati equation from S_T = P_T^{-1}."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     A, B, C = lq_matrices(lq, oracle_only=oracle_only)
-    num_steps = int(round(lq.horizon / dt))
-    if abs(num_steps * dt - lq.horizon) > 1e-9 * max(1.0, lq.horizon):
-        raise ValueError(f"horizon {lq.horizon} is not a multiple of dt {dt}")
 
     def rhs(S):  # d S / d tau = -(dS/dt) with tau = T - t
         return -dual_riccati_rhs(S, A, B, C, lq.R)
 
-    d = lq.dim_state
     S_T = symmetrize(np.linalg.inv(lq.P_T))
-    values = np.empty((num_steps + 1, d, d))
-    values[num_steps] = S_T
-    S = S_T.copy()
-    for j in range(num_steps):
-        S = _rk4_matrix_step(S, rhs, dt)
-        if not np.all(np.isfinite(S)):
-            raise ConvergenceError(f"dual Riccati integration blew up {j + 1} steps before T")
-        values[num_steps - 1 - j] = S
-    times = dt * np.arange(num_steps + 1)
-    return RiccatiPath(times=times, values=values)
+    return _integrate_backward(lq, dt, S_T, rhs, "dual Riccati")
 
 
-def solve_are(
-    lq: LQProblem,
-    tol: float = 1e-10,
-    dt: float = 1e-2,
-    max_horizon: float = 1e3,
-    oracle_only: bool = False,
-) -> np.ndarray:
-    """Stationary solution of the value Riccati equation.
+def _matrix_sign(Z: np.ndarray, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+    """Newton iteration Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}."""
+    n = Z.shape[0]
+    for _ in range(max_iter):
+        det = abs(np.linalg.det(Z))
+        c = det ** (-1.0 / n) if 0.0 < det < np.inf else 1.0
+        Z_new = 0.5 * (c * Z + np.linalg.inv(Z) / c)
+        if not np.all(np.isfinite(Z_new)):
+            raise ConvergenceError("matrix sign iteration became nonfinite")
+        if np.abs(Z_new - Z).sum() <= tol * np.abs(Z_new).sum():
+            return Z_new
+        Z = Z_new
+    raise ConvergenceError(f"matrix sign iteration did not converge in {max_iter} steps")
 
-    Integrates the backward equation from P_T until the time derivative is
-    negligible relative to P; near the stationary point RK4 converges to the
-    exact algebraic root, so the residual is limited only by ``tol``.
+
+def _newton_kleinman_step(P: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve the Lyapunov equation A_P^T X + X A_P + Q + P G P = 0, A_P = A - G P."""
+    d = A.shape[0]
+    closed_t = (A - G @ P).T
+    eye = np.eye(d)
+    lyap = np.kron(closed_t, eye) + np.kron(eye, closed_t)   # acts on row-major vec
+    X = np.linalg.solve(lyap, -(Q + P @ G @ P).reshape(-1)).reshape(d, d)
+    return 0.5 * (X + X.T)
+
+
+def _is_stabilizing(P: np.ndarray, A: np.ndarray, G: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(P)) and np.max(np.linalg.eigvals(A - G @ P).real) < 0)
+
+
+def _stable_graph(W: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """P with [I; P] spanning the null space of W + I, the stable subspace."""
+    d = A.shape[0]
+    eye = np.eye(d)
+    # Top block row alone: W12 = -2 (P - P_u)^{-1}, with P_u the
+    # anti-stabilizing solution, is invertible for controllable problems and
+    # keeps the conditioning of P - P_u, where least squares would square it.
+    try:
+        P = np.linalg.solve(W[:d, d:], -(W[:d, :d] + eye))
+        if _is_stabilizing(P, A, G):
+            return P
+    except np.linalg.LinAlgError:
+        pass
+    # An uncontrollable stable mode makes W12 singular: least squares over
+    # both block rows, [W12; W22 + I] P = -[W11 + I; W21].
+    M = np.vstack([W[:d, d:], W[d:, d:] + eye])
+    rhs = -np.vstack([W[:d, :d] + eye, W[d:, :d]])
+    return np.linalg.solve(M.T @ M, M.T @ rhs)
+
+
+def solve_are(lq: LQProblem, oracle_only: bool = False) -> np.ndarray:
+    """Stabilizing solution of A^T P + P A + C^T C - P B R^{-1} B^T P = 0.
+
+    The sign W of the Hamiltonian [[A, -G], [-C^T C, -A^T]], G = B R^{-1} B^T,
+    has the stable invariant subspace [I; P] as the null space of W + I.
+    Two Newton-Kleinman steps then remove the rounding of the sign
+    iteration.  Raises ``ConvergenceError`` when no stabilizing solution
+    exists (an unstabilizable or undetectable problem).
     """
     A, B, C = lq_matrices(lq, oracle_only=oracle_only)
-
-    def rhs(P):
-        return control_riccati_rhs(P, A, B, C, lq.R)
-
-    P = lq.P_T.copy()
-    t = 0.0
-    while t < max_horizon:
-        P = _rk4_matrix_step(P, rhs, dt)
-        t += dt
-        if not np.all(np.isfinite(P)):
-            raise ConvergenceError("Riccati integration blew up before reaching stationarity")
-        if np.linalg.norm(rhs(P), "fro") < tol * max(np.linalg.norm(P, "fro"), 1e-300):
-            return P
-    raise ConvergenceError(
-        f"no stationary Riccati solution within horizon {max_horizon}; "
-        "check stabilizability/detectability of the problem"
-    )
+    G = B @ np.linalg.solve(lq.R, B.T)
+    Q = C.T @ C
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            P = _stable_graph(_matrix_sign(np.block([[A, -G], [-Q, -A.T]])), A, G)
+            for _ in range(2):
+                P = _newton_kleinman_step(P, A, G, Q)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"no stabilizing Riccati solution ({exc}); "
+            "check stabilizability/detectability of the problem"
+        ) from exc
+    if not _is_stabilizing(P, A, G):
+        raise ConvergenceError(
+            "no stabilizing Riccati solution; check stabilizability/detectability of the problem"
+        )
+    return P
 
 
 def lqr_gain(lq: LQProblem, P: np.ndarray, oracle_only: bool = False) -> np.ndarray:

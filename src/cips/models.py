@@ -148,10 +148,13 @@ class Density1D:
 class LQProblem:
     """Finite-horizon linear quadratic problem accessed through oracles.
 
-    ``dynamics(x, u)`` evaluates A x + B u and ``cost_output(x)`` evaluates
-    C x at single points; the quadratic weights R (on the input) and P_T
-    (terminal) are known matrices.  ``A``, ``B``, ``C`` may be attached for
-    cross-checks but every solver can also run purely on the oracles.
+    The oracles are row-wise, like :class:`FilterModel`'s: ``dynamics(x, u)``
+    maps ``(n, d)`` states and ``(n, m)`` inputs to the ``(n, d)`` rows
+    A x + B u, and ``cost_output(x)`` maps ``(n, d)`` states to the
+    ``(n, p)`` rows C x.  A single point, ``(d,)`` and ``(m,)``, works too.
+    The quadratic weights R (on the input) and P_T (terminal) are known
+    matrices.  ``A``, ``B``, ``C`` may be attached for cross-checks but every
+    solver can also run purely on the oracles.
     """
 
     dim_state: int
@@ -175,30 +178,49 @@ class LQProblem:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
+    def num_steps(self, dt: float) -> int:
+        """Number of steps of size ``dt`` on [0, horizon]; must be whole."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        steps = int(round(self.horizon / dt))
+        if abs(steps * dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {dt}")
+        return steps
+
+
+def call_rowwise(name: str, oracle: Callable, *args: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """Evaluate a row-wise oracle and check that it returned one row per input row.
+
+    ``cols`` is the expected row width, or None when any width will do.
+    """
+    out = np.asarray(oracle(*args), dtype=float)
+    rows = args[0].shape[0]
+    if out.ndim != 2 or out.shape[0] != rows or (cols is not None and out.shape[1] != cols):
+        shapes = ", ".join(str(a.shape) for a in args)
+        want = f"({rows}, {cols if cols is not None else 'p'})"
+        raise ValueError(
+            f"{name} oracle returned shape {out.shape} for inputs of shape {shapes}; "
+            f"expected {want}: LQ oracles map (n, d) rows to (n, .) rows"
+        )
+    return out
+
 
 def recover_lq_matrices(lq: LQProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruct (A, B, C) from the oracles by probing unit vectors.
 
-    Column j of A is dynamics(e_j, 0) - dynamics(0, 0); column j of B is
-    dynamics(0, e_j) - dynamics(0, 0); column j of C is cost(e_j) - cost(0).
+    One batched ``dynamics`` call on the rows (0, 0), (e_j, 0) and (0, e_j)
+    gives column j of A and of B as differences from f(0, 0); one batched
+    ``cost_output`` call on 0 and the e_j gives the columns of C.
     Legitimate because the oracles are linear.
     """
     d, m = lq.dim_state, lq.dim_input
-    zx, zu = np.zeros(d), np.zeros(m)
-    f0 = np.asarray(lq.dynamics(zx, zu), dtype=float)
-    c0 = np.asarray(lq.cost_output(zx), dtype=float)
-    A = np.empty((d, d))
-    C = np.empty((c0.shape[0], d))
-    for j in range(d):
-        ej = np.zeros(d)
-        ej[j] = 1.0
-        A[:, j] = np.asarray(lq.dynamics(ej, zu), dtype=float) - f0
-        C[:, j] = np.asarray(lq.cost_output(ej), dtype=float) - c0
-    B = np.empty((d, m))
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        B[:, j] = np.asarray(lq.dynamics(zx, ej), dtype=float) - f0
+    x = np.vstack([np.zeros((1, d)), np.eye(d), np.zeros((m, d))])
+    u = np.vstack([np.zeros((1 + d, m)), np.eye(m)])
+    f = call_rowwise("dynamics", lq.dynamics, x, u, cols=d)
+    c = call_rowwise("cost_output", lq.cost_output, x[: 1 + d])
+    A = (f[1 : 1 + d] - f[0]).T
+    B = (f[1 + d :] - f[0]).T
+    C = (c[1:] - c[0]).T
     return A, B, C
 
 
@@ -372,10 +394,10 @@ def make_lq_canonical(d: int, rng: RngStream) -> LQProblem:
     P_T = np.eye(d)
 
     def dynamics(x, u):
-        return A @ np.asarray(x, dtype=float) + B @ np.atleast_1d(np.asarray(u, dtype=float))
+        return np.asarray(x, dtype=float) @ A.T + np.atleast_1d(np.asarray(u, dtype=float)) @ B.T
 
     def cost_output(x):
-        return C @ np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float) @ C.T
 
     return LQProblem(
         dim_state=d,

@@ -423,8 +423,8 @@ def test_criterion_10_scalar_closed_forms():
     C = np.array([[1.0]])
     lq = LQProblem(
         dim_state=1, dim_input=1,
-        dynamics=lambda x, u: A @ np.atleast_1d(x) + B @ np.atleast_1d(u),
-        cost_output=lambda x: C @ np.atleast_1d(x),
+        dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+        cost_output=lambda x: np.asarray(x) @ C.T,
         R=np.eye(1), P_T=np.eye(1), horizon=10.0,
         A=A, B=B, C=C,
     )

@@ -110,6 +110,28 @@ class TestModifiedPfOracle:
             assert v > 0
             assert modified_pf_conditional_var(-z, 1.0, 1.0) == pytest.approx(v, rel=1e-12)
 
+    def test_conditional_var_batch_matches_node_loop(self):
+        # reference: the per-point formula, called once per Gauss-Hermite node
+        def per_point(z, s0, sw):
+            m0, m1, m2 = modified_pf_conditional_moments(z, s0, sw)
+            ratio1 = m1 / m0
+            second = np.sum(m2 / m0) + np.sum(ratio1) ** 2 - np.sum(ratio1**2)
+            gain = s0**2 / (s0**2 + sw**2)
+            return np.prod(m0) * second / z.shape[0] - (gain * np.sum(z) / np.sqrt(z.shape[0])) ** 2
+
+        from itertools import product as iproduct
+
+        t_nodes, _ = np.polynomial.hermite_e.hermegauss(5)
+        for d in range(1, 7):
+            for s0, sw in ((1.0, 1.0), (0.7, 1.4)):
+                combos = np.array(list(iproduct(range(5), repeat=d)))
+                z = np.sqrt(s0**2 + sw**2) * t_nodes[combos]
+                batch = modified_pf_conditional_var(z, s0, sw)
+                loop = np.array([per_point(row, s0, sw) for row in z])
+                assert batch.shape == (z.shape[0],)
+                np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=0)
+                assert modified_pf_conditional_var(z[7 % len(z)], s0, sw) == batch[7 % len(z)]
+
     def test_weights_batch_matches_module_op(self):
         rng = RngStream(3)
         z = rng.standard_normal((5, 2))
@@ -420,6 +442,41 @@ class TestCli:
                      "--out", str(out2)]) == 0
         assert "seed = 1" in out1.read_text()
         assert "seed = 2" in out2.read_text()
+
+    def test_config_unknown_key_exits_2(self, tmp_path, capsys):
+        # the flag is --T but its config key is "horizon"; "T" must not be
+        # dropped in favour of the default horizon
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nmethod = kalman\nT = 0.3\n")
+        out = tmp_path / "o.csv"
+        code = main(["filter", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'t'" in err and "horizon" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_readme_linear_model_config_runs(self, tmp_path):
+        cfg = tmp_path / "model.ini"
+        cfg.write_text(
+            "[model]\nmodel = linear\n"
+            "a_matrix = [[-1.0, 0.5], [-0.5, -1.0]]\nh_matrix = [[1.0, 0.0]]\n"
+            "sigma_b = [[0.5, 0.0], [0.0, 0.5]]\nm0 = [1.0, -1.0]\n"
+            "sigma0_matrix = [[1.0, 0.0], [0.0, 1.0]]\n"
+        )
+        out = tmp_path / "o.csv"
+        code = main(["filter", "--config", str(cfg), "--method", "enkf-sqrt",
+                     "--n", "50", "--T", "0.1", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(data) == 1 + 6
+
+    @pytest.mark.parametrize("sub", ["filter", "lqr-solve", "static-update"])
+    def test_jobs_only_where_honoured(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unreadable_config_exits_2(self, capsys):
         assert main(["bench", "--config", "/nonexistent.ini"]) == 2

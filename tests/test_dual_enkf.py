@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from cips.core import RngStream
 from cips.dual_enkf import (
+    _LQOps,
     dual_enkf_backward_step,
     dual_enkf_init,
     dual_particles,
@@ -23,8 +24,8 @@ def scalar_unit_lq(horizon=10.0):
     C = np.array([[1.0]])
     return LQProblem(
         dim_state=1, dim_input=1,
-        dynamics=lambda x, u: A @ np.atleast_1d(x) + B @ np.atleast_1d(u),
-        cost_output=lambda x: C @ np.atleast_1d(x),
+        dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+        cost_output=lambda x: np.asarray(x) @ C.T,
         R=np.eye(1), P_T=np.eye(1), horizon=horizon,
         A=A, B=B, C=C,
     )
@@ -64,8 +65,8 @@ class TestBackwardStep:
         A = np.array([[0.3, -0.2], [0.1, 0.0]])
         lq = LQProblem(
             dim_state=2, dim_input=1,
-            dynamics=lambda x, u: A @ np.atleast_1d(x),
-            cost_output=lambda x: np.zeros(2),
+            dynamics=lambda x, u: np.asarray(x) @ A.T,
+            cost_output=lambda x: 0.0 * np.asarray(x),
             R=np.eye(1), P_T=np.eye(2), horizon=1.0,
             A=A, B=np.zeros((2, 1)), C=np.zeros((2, 2)),
         )
@@ -96,8 +97,8 @@ class TestGainExtraction:
         B = np.array([[0.0], [1.0]])
         lq = LQProblem(
             dim_state=2, dim_input=1,
-            dynamics=lambda x, u: A @ np.atleast_1d(x) + B @ np.atleast_1d(u),
-            cost_output=lambda x: np.zeros(2),
+            dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+            cost_output=lambda x: 0.0 * np.asarray(x),
             R=np.eye(1), P_T=np.eye(2), horizon=2.0,
             A=A, B=B, C=np.zeros((2, 2)),
         )
@@ -149,14 +150,51 @@ class TestRunDualEnkf:
         assert run.final_state.time == pytest.approx(0.0, abs=1e-12)
 
     def test_oracle_only_matches_explicit(self):
+        # the row-wise drift x @ A.T + 0 @ B.T is bitwise the explicit drift,
+        # and the probes recover B and C exactly
         lq = make_lq_canonical(3, RngStream(8))
         a = run_dual_enkf(lq, 200, 0.02, RngStream(55))
         b = run_dual_enkf(lq, 200, 0.02, RngStream(55), oracle_only=True)
-        assert np.abs(a.cov_path - b.cov_path).max() <= 1e-12
-        assert np.abs(a.gain_path.gains - b.gain_path.gains).max() <= 1e-10
+        np.testing.assert_array_equal(a.cov_path, b.cov_path)
+        np.testing.assert_array_equal(a.gain_path.gains, b.gain_path.gains)
         stripped = replace(lq, A=None, B=None, C=None)
         c = run_dual_enkf(stripped, 200, 0.02, RngStream(55))
-        assert np.abs(a.cov_path - c.cov_path).max() <= 1e-12
+        np.testing.assert_array_equal(a.cov_path, c.cov_path)
+        np.testing.assert_array_equal(a.gain_path.gains, c.gain_path.gains)
+
+    def test_oracle_only_calls_dynamics_once_per_step(self):
+        lq = make_lq_canonical(2, RngStream(9))
+        lq = replace(lq, horizon=0.2)
+        calls = []
+
+        def counted(x, u):
+            calls.append(np.shape(x))
+            return lq.dynamics(x, u)
+
+        run_dual_enkf(replace(lq, dynamics=counted), 100, 0.02, RngStream(10), oracle_only=True)
+        # one batched probe for B, then one (N, d) drift call per step
+        assert len(calls) == 1 + 10
+        assert calls[1:] == [(100, 2)] * 10
+
+    def test_per_point_oracle_rejected(self):
+        # written for one point: x[1] is a row of the batch, not a coordinate
+        lq = LQProblem(
+            dim_state=2, dim_input=1,
+            dynamics=lambda x, u: np.array([x[1], -x[0] + u[0]]),
+            cost_output=lambda x: np.asarray(x),
+            R=np.eye(1), P_T=np.eye(2), horizon=0.1,
+        )
+        with pytest.raises(ValueError, match=r"dynamics oracle returned shape \(2, 2\) "
+                                             r"for inputs of shape \(4, 2\), \(4, 1\)"):
+            run_dual_enkf(lq, 50, 0.02, RngStream(3))
+
+    def test_drift_checks_oracle_shape(self):
+        lq = make_lq_canonical(2, RngStream(4))
+        ops = _LQOps(lq, oracle_only=True)
+        ops.lq = replace(lq, dynamics=lambda x, u: lq.dynamics(x, u)[:-1])
+        with pytest.raises(ValueError, match=r"dynamics oracle returned shape \(49, 2\) "
+                                             r"for inputs of shape \(50, 2\), \(50, 1\)"):
+            ops.drift(np.ones((50, 2)))
 
     def test_covariance_tracks_dual_riccati(self):
         rng = RngStream(123)

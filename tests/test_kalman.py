@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cips.core import RngStream
 from cips.exceptions import ConvergenceError, FilterDivergenceError
@@ -20,21 +22,27 @@ from cips.models import (
 )
 
 
-def scalar_lq(a, b, c, r=1.0, p_T=1.0, horizon=10.0):
-    A = np.array([[float(a)]])
-    B = np.array([[float(b)]])
-    C = np.array([[float(c)]])
+def lq_from_matrices(A, B, C, R=None, P_T=None, horizon=10.0):
+    """LQ problem with row-wise oracles and the matrices attached."""
+    d, m = B.shape
     return LQProblem(
-        dim_state=1,
-        dim_input=1,
-        dynamics=lambda x, u: A @ np.atleast_1d(x) + B @ np.atleast_1d(u),
-        cost_output=lambda x: C @ np.atleast_1d(x),
-        R=np.array([[float(r)]]),
-        P_T=np.array([[float(p_T)]]),
+        dim_state=d,
+        dim_input=m,
+        dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+        cost_output=lambda x: np.asarray(x) @ C.T,
+        R=np.eye(m) if R is None else R,
+        P_T=np.eye(d) if P_T is None else P_T,
         horizon=horizon,
         A=A,
         B=B,
         C=C,
+    )
+
+
+def scalar_lq(a, b, c, r=1.0, p_T=1.0, horizon=10.0):
+    return lq_from_matrices(
+        np.array([[float(a)]]), np.array([[float(b)]]), np.array([[float(c)]]),
+        R=np.array([[float(r)]]), P_T=np.array([[float(p_T)]]), horizon=horizon,
     )
 
 
@@ -109,6 +117,14 @@ class TestValueRiccati:
         P_inf = solve_are(lq)
         assert np.linalg.norm(path.initial - P_inf, "fro") <= 1e-6
 
+    def test_grid_checks(self):
+        lq = scalar_lq(0, 1, 1, horizon=1.0)
+        for solve in (solve_dre_backward, solve_dual_dre):
+            with pytest.raises(ValueError, match="positive"):
+                solve(lq, dt=0.0)
+            with pytest.raises(ValueError, match="multiple"):
+                solve(lq, dt=0.3)
+
     def test_oracle_only_matches_explicit(self):
         lq = make_lq_canonical(3, RngStream(2))
         a = solve_dre_backward(lq, dt=0.02)
@@ -139,11 +155,58 @@ class TestARE:
             eigs = np.linalg.eigvals(lq.A + lq.B @ K)
             assert np.max(eigs.real) < 0
 
+    def test_uncontrollable_stable_mode(self):
+        # decoupled modes: -1 (no input, Lyapunov p = 1/2) and +1 (scalar
+        # LQR p = 1 + sqrt 2); the uncontrollable mode makes W12 singular
+        lq = lq_from_matrices(np.diag([-1.0, 1.0]), np.array([[0.0], [1.0]]), np.eye(2))
+        P = solve_are(lq)
+        assert np.abs(P - np.diag([0.5, 1.0 + np.sqrt(2.0)])).max() <= 1e-12
+
     def test_unstabilizable_raises(self):
-        # unstable and uncontrollable: P blows up, no stationary point
+        # unstable and uncontrollable: no stabilizing solution exists
         lq = scalar_lq(1.0, 0.0, 1.0)
         with pytest.raises(ConvergenceError):
-            solve_are(lq, dt=0.05)
+            solve_are(lq)
+
+
+@st.composite
+def stabilizable_lq(draw):
+    """Random (A, B, C, R) with every unstable mode of A controllable.
+
+    C is square and well conditioned, so the problem is observable.  The
+    PBH margin and the bound on |P| keep the problem well conditioned: the
+    relative sensitivity of P grows with |P|, and beyond about 1e3 two
+    backward-stable solvers differ by more than the 1e-10 asserted below.
+    """
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-2.0, 2.0, (d, d))
+    B = rng.uniform(-2.0, 2.0, (d, m))
+    C = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))
+    L = rng.uniform(-0.5, 0.5, (m, m))
+    R = L @ L.T + 0.5 * np.eye(m)
+    for lam in np.linalg.eigvals(A):
+        if lam.real >= -1e-3:
+            pencil = np.hstack([A - lam * np.eye(d), B])
+            assume(np.linalg.svd(pencil, compute_uv=False)[-1] >= 0.1)
+    assume(np.linalg.svd(C, compute_uv=False)[-1] >= 0.3)
+    return A, B, C, R
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stabilizable_lq())
+def test_solve_are_matches_scipy_care(problem):
+    from scipy.linalg import solve_continuous_are
+
+    A, B, C, R = problem
+    care = solve_continuous_are(A, B, C.T @ C, R)
+    assume(np.linalg.norm(care) <= 1e3)
+    P = solve_are(lq_from_matrices(A, B, C, R=R))
+    assert np.linalg.norm(P - care) <= 1e-10 * np.linalg.norm(care)
+    closed = A - B @ np.linalg.solve(R, B.T) @ P
+    assert np.max(np.linalg.eigvals(closed).real) < 0
 
 
 class TestDualRiccati:
