@@ -31,6 +31,7 @@ from .gain import diffusion_map_gain, exact_gain_1d
 from .kalman import solve_dre_backward
 from .models import Density1D, make_bimodal, make_lq_canonical
 from .dual_enkf import relative_value_mse, run_dual_enkf
+from .sir import modified_weights
 
 SCHEMA_VERSION = 1
 
@@ -114,18 +115,21 @@ class RunConfig:
 
     def fingerprint(self) -> str:
         # jobs/out are execution knobs, not part of the experiment identity
-        payload = repr(sorted(
-            (k, v) for k, v in self.__dict__.items() if k not in ("jobs", "out")
-        ))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return fingerprint({k: v for k, v in self.__dict__.items() if k not in ("jobs", "out")})
 
 
-def _metadata(cfg: RunConfig, schema: str) -> dict[str, str]:
+def fingerprint(payload: dict) -> str:
+    """Short hash of a configuration, written into each CSV header."""
+    return hashlib.sha256(repr(sorted(payload.items())).encode()).hexdigest()[:16]
+
+
+def table_metadata(seed: int, schema: str, config: str) -> dict[str, str]:
+    """The ``#`` header of every CSV: version, schema, seed and config hash."""
     return {
         "version": __version__,
         "schema": f"{schema}-v{SCHEMA_VERSION}",
-        "seed": str(cfg.seed),
-        "config": cfg.fingerprint(),
+        "seed": str(seed),
+        "config": config,
     }
 
 
@@ -174,18 +178,12 @@ def static_pf_mse(
         samples = sigma0 * sub.standard_normal((take, num_particles, d))
         target = (z1 @ a) * sigma0**2 / (sigma0**2 + sigma_w**2)
 
-        log_num = -np.sum((z1[:, None, :] - samples) ** 2, axis=2) / (2 * sigma_w**2)
         fvals = samples @ a
         if modified:
-            s2 = sigma0**2 + sigma_w**2
-            log_den = (
-                np.log(num_particles)
-                + 0.5 * d * np.log(sigma_w**2 / s2)
-                - np.sum(z1**2, axis=1) / (2 * s2)
-            )
-            w = np.exp(log_num - log_den[:, None])
+            w = modified_weights(samples, z1, sigma0, sigma_w)
             est = np.sum(w * fvals, axis=1)
         else:
+            log_num = -np.sum((z1[:, None, :] - samples) ** 2, axis=2) / (2 * sigma_w**2)
             top = log_num.max(axis=1, keepdims=True)
             w = np.exp(log_num - top)
             est = np.sum(w * fvals, axis=1) / np.sum(w, axis=1)
@@ -252,29 +250,6 @@ def static_fpf_mse(
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / np.sqrt(reps))
     return mse, stderr
-
-
-def modified_weights_batch(
-    samples: np.ndarray,
-    z1: np.ndarray,
-    sigma0: float,
-    sigma_w: float,
-) -> np.ndarray:
-    """Exact-denominator importance weights for a batch of sample sets.
-
-    ``samples`` has shape (batch, N, d) and ``z1`` shape (batch, d); the
-    returned array (batch, N) reproduces the per-set weights of
-    :func:`cips.sir.static_is_modified` row by row.
-    """
-    n = samples.shape[1]
-    s2 = sigma0**2 + sigma_w**2
-    log_num = -np.sum((z1[:, None, :] - samples) ** 2, axis=2) / (2.0 * sigma_w**2)
-    log_den = (
-        np.log(n)
-        + 0.5 * samples.shape[2] * np.log(sigma_w**2 / s2)
-        - np.sum(z1**2, axis=1) / (2.0 * s2)
-    )
-    return np.exp(log_num - log_den[:, None])
 
 
 def modified_pf_conditional_moments(
@@ -400,7 +375,7 @@ def static_modified_pf_mse_hybrid(
         sub = rng.substream(int(idx))
         samples = sigma0 * sub.standard_normal((k, num_particles, d))
         z = np.broadcast_to(z_nodes[idx], (k, d))
-        w = modified_weights_batch(samples, z, sigma0, sigma_w)
+        w = modified_weights(samples, z, sigma0, sigma_w)
         est = np.sum(w * (samples @ a), axis=1)
         sq = (est - gain * (z @ a)) ** 2
         measured_bulk += weights[idx] * float(sq.mean())
@@ -448,7 +423,7 @@ def bench_mse_levelsets(cfg: RunConfig) -> ResultTable:
     return ResultTable(
         columns=("method", "d", "N", "mse", "stderr"),
         rows=rows,
-        metadata=_metadata(cfg, "mse-levelsets"),
+        metadata=table_metadata(cfg.seed, "mse-levelsets", cfg.fingerprint()),
     )
 
 
@@ -527,7 +502,7 @@ def bench_bias_variance(cfg: RunConfig) -> ResultTable:
     return ResultTable(
         columns=("eps", "N", "d", "mse", "stderr"),
         rows=rows,
-        metadata=_metadata(cfg, "bias-variance"),
+        metadata=table_metadata(cfg.seed, "bias-variance", cfg.fingerprint()),
     )
 
 
@@ -550,7 +525,7 @@ def gain_study_table(cfg: RunConfig) -> ResultTable:
     return ResultTable(
         columns=("eps", "N", "rep", "mse"),
         rows=rows,
-        metadata=_metadata(cfg, "gain-study"),
+        metadata=table_metadata(cfg.seed, "gain-study", cfg.fingerprint()),
     )
 
 
@@ -589,7 +564,7 @@ def bench_dual_enkf(cfg: RunConfig) -> ResultTable:
     return ResultTable(
         columns=("d", "N", "rep", "rel_mse", "spec_abscissa"),
         rows=rows,
-        metadata=_metadata(cfg, "dual-enkf"),
+        metadata=table_metadata(cfg.seed, "dual-enkf", cfg.fingerprint()),
     )
 
 

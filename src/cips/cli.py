@@ -17,11 +17,22 @@ import argparse
 import configparser
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .bench import EXPERIMENT_NAMES, ResultTable, RunConfig, gain_study_table, run_experiment
+from .bench import (
+    EXPERIMENT_NAMES,
+    ResultTable,
+    RunConfig,
+    fingerprint,
+    gain_study_table,
+    run_experiment,
+    table_metadata,
+)
 from .core import RngStream
 from .exceptions import ConfigError, NumericError
 from .fpf import (
@@ -29,11 +40,12 @@ from .fpf import (
     DiffusionMapGainMethod,
     Ensemble,
     GalerkinGainMethod,
-    run_fpf,
+    fpf_step,
+    run_filter,
 )
 from .gain import coordinate_basis
 from .kalman import kalman_bucy_run
-from .linear_ensemble import LinearVariant, empirical_moments, linear_enkf_step
+from .linear_ensemble import LinearVariant, linear_enkf_step
 from .models import (
     make_linear_gaussian,
     make_lq_canonical,
@@ -54,6 +66,8 @@ FILTER_METHODS = (
     "enkf-perturbed",
     "enkf-det",
 )
+
+ENKF_VARIANTS = {"enkf-sqrt": "sqrt", "enkf-perturbed": "perturbed", "enkf-det": "deterministic"}
 
 
 def load_config(path: str) -> dict:
@@ -123,19 +137,20 @@ def _matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def _metadata(seed: int, schema: str, fingerprint: str) -> dict[str, str]:
-    return {
-        "version": __version__,
-        "schema": f"{schema}-v1",
-        "seed": str(seed),
-        "config": fingerprint,
-    }
+@contextmanager
+def _setup_errors():
+    """Report the library's argument checks made during set-up as usage errors.
 
-
-def _fingerprint(payload: dict) -> str:
-    import hashlib
-
-    return hashlib.sha256(repr(sorted(payload.items())).encode()).hexdigest()[:16]
+    The rules (positive dt, at least two particles, ...) are written once,
+    as ``ValueError``s where the library checks them; here they exit 2.
+    Failures while stepping are ``NumericError``s and still exit 1.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_or_print(table: ResultTable, out: str | None) -> None:
@@ -188,6 +203,23 @@ def _moment_rows(times, means, covs):
     return cols, rows
 
 
+def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
+    """Start state and step function of a particle method; draws the prior."""
+    prior = model.sample_prior(rng, n)
+    if method == "sir":
+        return uniform_weighted(prior), bootstrap_pf_step
+    start = Ensemble(prior, time=t0)
+    if method in ENKF_VARIANTS:
+        return start, partial(linear_enkf_step, variant=LinearVariant(ENKF_VARIANTS[method]))
+    if method == "fpf-const":
+        gain_method = ConstantGainMethod()
+    elif method == "fpf-galerkin":
+        gain_method = GalerkinGainMethod(coordinate_basis(model.dim_state))
+    else:
+        gain_method = DiffusionMapGainMethod(eps=eps)
+    return start, partial(fpf_step, gain_method=gain_method)
+
+
 def cmd_filter(args: argparse.Namespace) -> int:
     opts = _merge(load_config(args.config) if args.config else {}, args, [
         "model", "d", "sigma0", "sigma_w", "method", "n", "dt", "horizon", "seed", "eps",
@@ -195,57 +227,26 @@ def cmd_filter(args: argparse.Namespace) -> int:
     method = str(opts.get("method", "fpf-const"))
     if method not in FILTER_METHODS:
         raise ConfigError(f"unknown filter method {method!r}; choose from {FILTER_METHODS}")
-    seed = int(opts.get("seed", 0))
-    n = int(opts.get("n", 1000))
-    dt = float(opts.get("dt", 0.02))
-    horizon = float(opts.get("horizon", 1.0))
-    model = _build_model(opts)
-
-    rng = RngStream(seed)
-    _, obs = simulate_truth_and_observations(model, dt, horizon, rng.substream(0))
-    frng = rng.substream(1)
-
+    with _setup_errors():
+        seed = int(opts.get("seed", 0))
+        n = int(opts.get("n", 1000))
+        dt = float(opts.get("dt", 0.02))
+        horizon = float(opts.get("horizon", 1.0))
+        model = _build_model(opts)
+        rng = RngStream(seed)
+        _, obs = simulate_truth_and_observations(model, dt, horizon, rng.substream(0))
+        frng = rng.substream(1)
+        if method != "kalman":
+            start, step = _filter_start(method, model, n, opts.get("eps", "auto"), frng, obs.t0)
     if method == "kalman":
-        path = kalman_bucy_run(model, obs)
-        cols, rows = _moment_rows(path.times, path.means, path.covs)
-    elif method.startswith("enkf-"):
-        tag = {"enkf-sqrt": "sqrt", "enkf-perturbed": "perturbed", "enkf-det": "deterministic"}[method]
-        variant = LinearVariant(tag)
-        ens = Ensemble(model.sample_prior(frng, n), time=obs.t0)
-        means = [empirical_moments(ens.particles)[0]]
-        covs = [empirical_moments(ens.particles)[1]]
-        for k in range(obs.num_steps):
-            ens = linear_enkf_step(ens, obs.increments[k], dt, model, variant, frng)
-            m, s = empirical_moments(ens.particles)
-            means.append(m)
-            covs.append(s)
-        cols, rows = _moment_rows(obs.times, np.array(means), np.array(covs))
-    elif method == "sir":
-        wens = uniform_weighted(model.sample_prior(frng, n))
-        means, covs = [], []
-        w_mean = wens.weights @ wens.particles
-        means.append(w_mean)
-        covs.append((wens.particles - w_mean).T @ (wens.weights[:, None] * (wens.particles - w_mean)))
-        for k in range(obs.num_steps):
-            wens = bootstrap_pf_step(wens, obs.increments[k], dt, model, frng)
-            w_mean = wens.weights @ wens.particles
-            means.append(w_mean)
-            covs.append((wens.particles - w_mean).T @ (wens.weights[:, None] * (wens.particles - w_mean)))
-        cols, rows = _moment_rows(obs.times, np.array(means), np.array(covs))
+        run = kalman_bucy_run(model, obs)
     else:
-        if method == "fpf-const":
-            gain_method = ConstantGainMethod()
-        elif method == "fpf-galerkin":
-            gain_method = GalerkinGainMethod(coordinate_basis(model.dim_state))
-        else:
-            gain_method = DiffusionMapGainMethod(eps=opts.get("eps", "auto"))
-        run = run_fpf(model, obs, n, gain_method, frng)
-        cols, rows = _moment_rows(run.times, run.means, run.covs)
-
+        run = run_filter(model, obs, start, step, frng)
+    cols, rows = _moment_rows(run.times, run.means, run.covs)
     table = ResultTable(
         columns=cols,
         rows=rows,
-        metadata=_metadata(seed, f"filter-{method}", _fingerprint(
+        metadata=table_metadata(seed, f"filter-{method}", fingerprint(
             {k: str(v) for k, v in opts.items()}
         )),
     )
@@ -289,19 +290,18 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
     opts = _merge(load_config(args.config) if args.config else {}, args, [
         "d", "n", "dt", "horizon", "seed", "oracle_only",
     ])
-    d = int(opts.get("d", 2))
-    n = int(opts.get("n", 1000))
-    dt = float(opts.get("dt", 0.02))
-    horizon = float(opts.get("horizon", 10.0))
-    seed = int(opts.get("seed", 0))
-    oracle_only = bool(opts.get("oracle_only", False))
-
-    rng = RngStream(seed)
-    lq = make_lq_canonical(d, rng.substream(0))
-    from dataclasses import replace
-
-    lq = replace(lq, horizon=horizon)
-    run = run_dual_enkf(lq, n, dt, rng.substream(1), oracle_only=oracle_only)
+    # run_dual_enkf checks the grid and the ensemble size before its first
+    # step; its stepping failures are NumericErrors, not ValueErrors.
+    with _setup_errors():
+        d = int(opts.get("d", 2))
+        n = int(opts.get("n", 1000))
+        dt = float(opts.get("dt", 0.02))
+        horizon = float(opts.get("horizon", 10.0))
+        seed = int(opts.get("seed", 0))
+        oracle_only = bool(opts.get("oracle_only", False))
+        rng = RngStream(seed)
+        lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=horizon)
+        run = run_dual_enkf(lq, n, dt, rng.substream(1), oracle_only=oracle_only)
 
     m = lq.dim_input
     gain_cols = ("t",) + tuple(f"k_{i}_{j}" for i in range(m) for j in range(d))
@@ -309,7 +309,7 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
         (float(t),) + tuple(float(v) for v in K.reshape(-1))
         for t, K in zip(run.gain_path.times, run.gain_path.gains)
     ]
-    meta = _metadata(seed, "lqr-gain", _fingerprint({k: str(v) for k, v in opts.items()}))
+    meta = table_metadata(seed, "lqr-gain", fingerprint({k: str(v) for k, v in opts.items()}))
     _write_or_print(ResultTable(columns=gain_cols, rows=gain_rows, metadata=meta), args.out)
 
     s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
@@ -322,7 +322,7 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
     ]
     s_table = ResultTable(
         columns=s_cols, rows=s_rows,
-        metadata=_metadata(seed, "lqr-cov", meta["config"]),
+        metadata=table_metadata(seed, "lqr-cov", meta["config"]),
     )
     s_table.write(s_out)
     return 0
@@ -361,7 +361,7 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
     seed = int(opts.get("seed", 0))
-    meta = _metadata(seed, "static-update", _fingerprint({k: str(v) for k, v in opts.items()}))
+    meta = table_metadata(seed, "static-update", fingerprint({k: str(v) for k, v in opts.items()}))
     _write_or_print(ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta), args.out)
 
     if samples > 0:
@@ -375,7 +375,7 @@ def cmd_static_update(args: argparse.Namespace) -> int:
         sample_table = ResultTable(
             columns=tuple(f"x_{i}" for i in range(d)),
             rows=sample_rows,
-            metadata=_metadata(seed, f"static-samples-{method}", meta["config"]),
+            metadata=table_metadata(seed, f"static-samples-{method}", meta["config"]),
         )
         sample_table.write(args.sample_out)
     return 0

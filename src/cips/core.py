@@ -7,7 +7,9 @@ Conventions enforced here and relied on everywhere else:
 * empirical reductions are done in particle-index order (no pairwise /
   threaded summation), which makes single-threaded runs bit-reproducible;
 * near-PSD matrices with round-off eigenvalues in ``[-1e-10 * trace, 0)``
-  are repaired by clipping, anything more negative is an error.
+  are repaired by clipping, anything more negative is an error;
+* a singular empirical covariance gets one diagonal-jitter retry before it
+  is declared singular.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .exceptions import NotPositiveDefiniteError
 PSD_CLIP_REL = 1e-10
 
 SYMMETRY_RTOL = 1e-12
+
+# One-shot diagonal jitter, relative to the mean eigenvalue, applied before
+# declaring an empirical covariance singular.
+_JITTER_REL = 1e-9
 
 
 class RngStream:
@@ -74,6 +80,35 @@ def symmetrize(mat: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
             f"exceeds {rtol:.1e} * {scale:.3e}"
         )
     return 0.5 * (mat + mat.T)
+
+
+def empirical_moments(particles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble mean and unbiased (N-1)-normalized covariance."""
+    x = np.asarray(particles, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("empirical moments require at least 2 particles")
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / (n - 1)
+    return mean, 0.5 * (cov + cov.T)
+
+
+def solve_with_jitter(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve cov @ X = rhs, retrying once with diagonal jitter if cov is singular."""
+    d = cov.shape[0]
+    try:
+        return np.linalg.solve(cov, rhs)
+    except np.linalg.LinAlgError:
+        jitter = _JITTER_REL * np.trace(cov) / d
+        try:
+            return np.linalg.solve(cov + jitter * np.eye(d), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                "empirical covariance singular even after jitter"
+            ) from exc
 
 
 def is_positive_definite(mat: np.ndarray) -> bool:

@@ -20,12 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RngStream
-from .exceptions import FilterDivergenceError, NotPositiveDefiniteError
-from .linear_ensemble import empirical_moments
+from .core import RngStream, empirical_moments, solve_with_jitter
+from .exceptions import FilterDivergenceError
 from .models import LQProblem, call_rowwise, lq_matrices
-
-_JITTER_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,24 +141,10 @@ def dual_enkf_backward_step(
     return DualEnsembleState(particles=y_new, time=st.time - dt)
 
 
-def _solve_spd_with_jitter(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    d = S.shape[0]
-    try:
-        return np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError:
-        jitter = _JITTER_REL * np.trace(S) / d
-        try:
-            return np.linalg.solve(S + jitter * np.eye(d), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "empirical covariance singular even after jitter"
-            ) from exc
-
-
 def dual_particles(st: DualEnsembleState) -> np.ndarray:
     """Transformed particles X^i = (S^(N))^{-1} (Y^i - n^(N)), shape (N, d)."""
     n_mean, S = st.moments
-    return _solve_spd_with_jitter(S, (st.particles - n_mean).T).T
+    return solve_with_jitter(S, (st.particles - n_mean).T).T
 
 
 def value_matrix(st: DualEnsembleState) -> np.ndarray:

@@ -8,16 +8,21 @@ symmetrized innovation
                + K^i (dZ - (h(X^i) + h^{(N)}) / 2 dt) / sigma_w^2.
 
 Weights stay uniform by construction; no resampling is ever performed.
+
+:func:`run_filter` steps any particle filter of the package (this one, the
+linear ensemble filters, the bootstrap particle filter) along an
+observation path and records its moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, empirical_moments
 from .exceptions import ConfigError, FilterDivergenceError
 from .gain import (
     BasisSet,
@@ -55,6 +60,11 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.particles.shape[1]
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical mean and (N-1)-normalized covariance, formed once per state."""
+        return empirical_moments(self.particles)
 
 
 class ConstantGainMethod:
@@ -162,32 +172,35 @@ def fpf_estimate(ens: Ensemble, f: Callable[[np.ndarray], np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class FilterRun:
-    """Per-step first and second moments plus the final ensemble."""
+    """Per-step first and second moments plus the final state."""
 
     times: np.ndarray      # (K + 1,)
     means: np.ndarray      # (K + 1, d)
-    covs: np.ndarray       # (K + 1, d, d), (N-1)-normalized
-    ensemble: Ensemble
+    covs: np.ndarray       # (K + 1, d, d)
+    ensemble: Any          # the state after the last step
 
 
-def run_fpf(
+def run_filter(
     model: FilterModel,
     obs: ObservationPath,
-    num_particles: int,
-    gain_method: GainMethod,
+    start: Any,
+    step: Callable[..., Any],
     rng: RngStream,
 ) -> FilterRun:
-    """Run the FPF along an observation path from an i.i.d. prior ensemble."""
-    from .linear_ensemble import empirical_moments
+    """Step a particle filter along an observation path, recording its moments.
 
-    x0 = model.sample_prior(rng, num_particles)
-    ens = Ensemble(particles=x0, time=obs.t0)
+    ``start`` is the state at ``obs.t0`` (an :class:`Ensemble` or a
+    :class:`cips.sir.WeightedEnsemble`); ``step(state, dz, dt, model, rng=rng)``
+    returns the next one.  ``state.moments`` is read before the first step
+    and after each step.
+    """
     K = obs.num_steps
     d = model.dim_state
     means = np.empty((K + 1, d))
     covs = np.empty((K + 1, d, d))
-    means[0], covs[0] = empirical_moments(ens.particles)
+    state = start
+    means[0], covs[0] = state.moments
     for k in range(K):
-        ens = fpf_step(ens, obs.increments[k], obs.dt, model, gain_method, rng)
-        means[k + 1], covs[k + 1] = empirical_moments(ens.particles)
-    return FilterRun(times=obs.times, means=means, covs=covs, ensemble=ens)
+        state = step(state, obs.increments[k], obs.dt, model, rng=rng)
+        means[k + 1], covs[k + 1] = state.moments
+    return FilterRun(times=obs.times, means=means, covs=covs, ensemble=state)

@@ -228,34 +228,6 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
     return GainField(values=values, constant=False)
 
 
-def variational_gain_linear(particles: np.ndarray, h_values: np.ndarray,
-                            basis: BasisSet) -> GainField:
-    """Empirical-risk minimizer over linear combinations of the basis.
-
-    Minimizes J(f) = (1/N) sum_i [ |grad f(X^i)|^2 / 2 - f(X^i)(h_i - hbar) ]
-    for f = sum_l theta_l psi_l by solving the normal equations.  With a
-    linear parameterization the minimizer coincides with the Galerkin
-    solution; this entry point keeps the optimization route explicit.
-    """
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
-    n, d = x.shape
-    if n < 2:
-        raise ValueError("variational gain requires at least 2 particles")
-    grads = basis.evaluate_gradients(x)      # (N, M, d)
-    m_basis = len(basis)
-    design = grads.reshape(n, m_basis, d)
-    # Normal matrix assembled from the stacked gradient design matrix.
-    G = np.transpose(design, (1, 0, 2)).reshape(m_basis, n * d)
-    A = G @ G.T / n
-    psi = basis.evaluate(x)
-    centered = h - h.mean(axis=0)
-    b = psi.T @ centered / n
-    theta = _solve_gram(A, b)
-    values = np.einsum("nmd,mj->ndj", grads, theta)
-    return GainField(values=values, constant=False)
-
-
 def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
                         basis: BasisSet, theta: np.ndarray) -> np.ndarray:
     """Empirical variational objective J^(N)(f_theta), one value per obs component."""
@@ -290,9 +262,12 @@ class DiffusionMapState:
 
 def auto_bandwidth(particles: np.ndarray) -> float:
     """Rule-of-thumb kernel bandwidth: median pairwise sq. distance / (4 log N)."""
-    x = _as_particle_matrix(particles)
-    n = x.shape[0]
-    d2 = _pairwise_sq_dists(x)
+    return _median_bandwidth(_pairwise_sq_dists(_as_particle_matrix(particles)))
+
+
+def _median_bandwidth(d2: np.ndarray) -> float:
+    """:func:`auto_bandwidth` from the matrix of pairwise squared distances."""
+    n = d2.shape[0]
     med = float(np.median(d2[np.triu_indices(n, k=1)]))
     if med <= 0:
         return 1.0
@@ -342,23 +317,29 @@ def diffusion_map_gain(
     m = h.shape[1]
     if n < 2:
         raise ValueError("diffusion map gain requires at least 2 particles")
-    if isinstance(eps, str):
-        if eps != "auto":
-            raise ValueError(f"unknown bandwidth spec {eps!r}")
-        eps = auto_bandwidth(x)
-    eps = float(eps)
-    if eps <= 0:
+    auto = isinstance(eps, str)
+    if auto and eps != "auto":
+        raise ValueError(f"unknown bandwidth spec {eps!r}")
+    if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
     d2 = _pairwise_sq_dists(x)
+    eps = _median_bandwidth(d2) if auto else float(eps)
     g = np.exp(-d2 / (4.0 * eps))
     row = g.sum(axis=1)
-    # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but if all
-    # off-diagonal mass underflows the map degenerates to the identity.
-    if np.all(row - 1.0 < n * 1e-300):
+    # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but a row
+    # whose off-diagonal mass underflows becomes an identity row of T, which
+    # silently zeroes that particle's gain (and two such rows make the pinned
+    # system singular).
+    isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
+    if isolated.size:
+        first = int(isolated[0])
+        nearest = float(np.min(np.delete(d2[first], first)))
+        hint = "" if auto else f"; try eps around {_median_bandwidth(d2):.3e}"
         raise GainSolveError(
-            "kernel has no off-diagonal mass: particles too spread for "
-            f"eps={eps:.3e}; try eps around {auto_bandwidth(x):.3e}"
+            f"{isolated.size} of {n} particles isolated: their kernel rows have no "
+            f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
+            f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
     k = g / np.sqrt(np.outer(row, row))
     deg = k.sum(axis=1)

@@ -15,31 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
-from .exceptions import FilterDivergenceError, NotPositiveDefiniteError
+from .core import RngStream, solve_with_jitter
+from .core import empirical_moments  # noqa: F401  (re-exported public name)
+from .exceptions import FilterDivergenceError
 from .fpf import Ensemble
 from .kalman import filter_riccati_rhs
 from .models import FilterModel
 
 VARIANT_TAGS = ("sqrt", "perturbed", "deterministic")
-
-# One-shot diagonal jitter applied before declaring an empirical covariance
-# singular (deterministic variant only).
-_JITTER_REL = 1e-9
-
-
-def empirical_moments(particles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and unbiased (N-1)-normalized covariance."""
-    x = np.asarray(particles, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("empirical moments require at least 2 particles")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    return mean, 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True)
@@ -88,21 +71,6 @@ def consistency_residual(
     return float(np.linalg.norm(lhs - rhs, "fro"))
 
 
-def _stable_inverse(Sigma: np.ndarray) -> np.ndarray:
-    """Inverse with a single diagonal-jitter retry, mirroring the step policy."""
-    d = Sigma.shape[0]
-    try:
-        return np.linalg.inv(Sigma)
-    except np.linalg.LinAlgError:
-        jitter = _JITTER_REL * np.trace(Sigma) / d
-        try:
-            return np.linalg.inv(Sigma + jitter * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "empirical covariance singular even after jitter"
-            ) from exc
-
-
 def linear_enkf_step(
     ens: Ensemble,
     dz: np.ndarray,
@@ -129,8 +97,8 @@ def linear_enkf_step(
     dz = np.atleast_1d(np.asarray(dz, dtype=float))
 
     x = ens.particles
-    n = x.shape[0]
-    mean, Sigma = empirical_moments(x)
+    n, d = x.shape
+    mean, Sigma = ens.moments
     gain = Sigma @ H.T / r                     # (d, m)
 
     hx = x @ H.T                               # (N, m)
@@ -147,7 +115,7 @@ def linear_enkf_step(
         move = db @ sigma_B.T + innovation @ gain.T
     else:  # deterministic
         innovation = dz - 0.5 * (hx + hm) * dt
-        Sigma_inv = _stable_inverse(Sigma)
+        Sigma_inv = solve_with_jitter(Sigma, np.eye(d))
         spread = 0.5 * (x - mean) @ (spec.Sigma_B @ Sigma_inv).T * dt
         move = spread + innovation @ gain.T
 

@@ -30,6 +30,8 @@ class WeightedEnsemble:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "particles", x)
         object.__setattr__(self, "weights", w)
+        if x.shape[0] < 2:
+            raise ValueError("an ensemble needs at least 2 particles")
         if w.shape != (x.shape[0],):
             raise ValueError("one weight per particle required")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -40,6 +42,13 @@ class WeightedEnsemble:
     @property
     def num_particles(self) -> int:
         return self.particles.shape[0]
+
+    @property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted mean sum_i w_i X^i and covariance sum_i w_i (X^i - m)(X^i - m)^T."""
+        mean = self.weights @ self.particles
+        centered = self.particles - mean
+        return mean, centered.T @ (self.weights[:, None] * centered)
 
 
 def uniform_weighted(particles: np.ndarray) -> WeightedEnsemble:
@@ -84,6 +93,31 @@ def static_is_estimate(
     return float(w @ vals)
 
 
+def modified_weights(
+    samples: np.ndarray,
+    z1: np.ndarray,
+    sigma0: float,
+    sigma_w: float,
+) -> np.ndarray:
+    """Exact-denominator importance weights, batched over leading axes.
+
+    ``samples`` has shape ``(..., N, d)`` and ``z1`` shape ``(..., d)``; the
+    result ``(..., N)`` is exp(-|Z_1 - X^i|^2 / (2 sigma_w^2)) / (N D(Z_1)).
+    The prior must be N(0, sigma0^2 I) so that the denominator
+    D(Z_1) = E[exp(-|Z_1 - X|^2 / (2 sigma_w^2))] has the closed form
+    prod_j sqrt(sigma_w^2/(sigma0^2+sigma_w^2)) exp(-Z_1j^2/(2(sigma0^2+sigma_w^2))).
+    """
+    n, d = samples.shape[-2:]
+    s2 = sigma0**2 + sigma_w**2
+    log_num = -np.sum((z1[..., None, :] - samples) ** 2, axis=-1) / (2.0 * sigma_w**2)
+    log_den = (
+        np.log(n)
+        + 0.5 * d * np.log(sigma_w**2 / s2)
+        - np.sum(z1**2, axis=-1) / (2.0 * s2)
+    )
+    return np.exp(log_num - log_den[..., None])
+
+
 def static_is_modified(
     samples: np.ndarray,
     z1: np.ndarray,
@@ -93,24 +127,14 @@ def static_is_modified(
 ) -> float:
     """Importance-sampling estimate with the exact normalizing denominator.
 
-    Requires the prior to be N(0, sigma0^2 I) so that the denominator
-    D(Z_1) = E[exp(-|Z_1 - X|^2 / (2 sigma_w^2))] has the closed form
-    prod_j sqrt(sigma_w^2/(sigma0^2+sigma_w^2)) exp(-Z_1j^2/(2(sigma0^2+sigma_w^2))).
+    Uses :func:`modified_weights`, which needs the prior N(0, sigma0^2 I).
     The weights are intentionally not re-normalized.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n, d = x.shape
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    s2 = sigma0**2 + sigma_w**2
-    log_num = -np.sum((z1 - x) ** 2, axis=1) / (2.0 * sigma_w**2)
-    log_den = (
-        np.log(n)
-        + 0.5 * d * np.log(sigma_w**2 / s2)
-        - np.sum(z1**2) / (2.0 * s2)
-    )
-    w = np.exp(log_num - log_den)
+    w = modified_weights(x, z1, sigma0, sigma_w)
     if np.all(w == 0.0):
         raise WeightCollapseError("all modified importance weights underflowed")
     vals = np.asarray(f(x), dtype=float)

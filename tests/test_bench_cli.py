@@ -11,7 +11,6 @@ from cips.bench import (
     modified_pf_conditional_moments,
     modified_pf_conditional_var,
     modified_pf_mse_exact,
-    modified_weights_batch,
     static_fpf_mse,
     static_method_mse,
     static_pf_mse,
@@ -23,7 +22,7 @@ from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import LinearVariant, linear_enkf_step
 from cips.fpf import Ensemble
 from cips.models import make_static_param, simulate_truth_and_observations
-from cips.sir import static_is_modified
+from cips.sir import modified_weights, static_is_modified
 
 
 class TestRunConfig:
@@ -136,7 +135,7 @@ class TestModifiedPfOracle:
         rng = RngStream(3)
         z = rng.standard_normal((5, 2))
         samples = rng.standard_normal((5, 50, 2))
-        w = modified_weights_batch(samples, z, 1.0, 1.0)
+        w = modified_weights(samples, z, 1.0, 1.0)
         for i in range(5):
             ref = static_is_modified(samples[i], z[i], 1.0, 1.0, lambda x: x[:, 0])
             assert float(w[i] @ samples[i, :, 0]) == pytest.approx(ref, rel=1e-12)
@@ -419,6 +418,42 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and "eps" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--n", "1"],
+        ["filter", "--method", "sir", "--n", "1"],
+        ["filter", "--method", "enkf-det", "--n", "1"],
+        ["filter", "--dt", "0"],
+        ["filter", "--T", "0"],
+        ["filter", "--d", "0"],
+        ["filter", "--sigma-w", "0"],
+        ["filter", "--sigma0", "-1"],
+        ["lqr-solve", "--d", "2", "--n", "2"],
+        ["lqr-solve", "--dt", "0"],
+        ["lqr-solve", "--d", "0"],
+    ])
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_filter_dm_isolated_particle_exits_1(self, tmp_path, capsys):
+        # at this seed one particle is thrown far from the rest and has no
+        # kernel mass left at t = 0.12; it used to get a silent zero gain
+        # there and, at t = 0.16, the pinned solve turned singular
+        out = tmp_path / "dm.csv"
+        code = main(["filter", "--model", "static", "--d", "2", "--method", "fpf-dm",
+                     "--n", "1000", "--seed", "11", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "gain computation failed at t=0.12:" in err
+        assert "1 of 1000 particles isolated" in err and "nearest-neighbour" in err
+        assert "Singular matrix" not in err
         assert not out.exists()
 
     def test_bench_levelsets_one_rep_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from cips.core import RngStream
+from cips.core import RngStream, empirical_moments
 from cips.exceptions import ConfigError, FilterDivergenceError
 from cips.fpf import (
     ConstantGainMethod,
@@ -10,10 +12,11 @@ from cips.fpf import (
     GalerkinGainMethod,
     fpf_estimate,
     fpf_step,
-    run_fpf,
+    run_filter,
 )
-from cips.gain import constant_gain, coordinate_basis
+from cips.gain import GainField, constant_gain, coordinate_basis
 from cips.kalman import kalman_bucy_run
+from cips.linear_ensemble import LinearVariant, linear_enkf_step
 from cips.models import (
     FilterModel,
     ObservationPath,
@@ -23,6 +26,13 @@ from cips.models import (
     simulate_truth_and_observations,
     static_posterior,
 )
+from cips.sir import bootstrap_pf_step, uniform_weighted
+
+
+def fpf_from_prior(model, obs, num_particles, gain_method, rng):
+    """The FPF along ``obs`` from an i.i.d. prior ensemble drawn from ``rng``."""
+    start = Ensemble(model.sample_prior(rng, num_particles), time=obs.t0)
+    return run_filter(model, obs, start, partial(fpf_step, gain_method=gain_method), rng)
 
 
 def bimodal_static_model(sigma_w):
@@ -84,7 +94,7 @@ class TestFpfStep:
         model = make_static_param(1, 1.0, 1.0)
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
-        run = run_fpf(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
+        run = fpf_from_prior(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
         z1 = obs.cumulative()[-1]
         target, _ = static_posterior(1.0, 1.0, z1)
         assert abs(run.means[-1][0] - target[0]) <= 3.0 / np.sqrt(10_000)
@@ -134,7 +144,7 @@ class TestRunFpf:
         model = make_static_param(1, 1.0, 1.0)
         obs = ObservationPath(dt=0.1, increments=np.zeros((0, 1)))
         rng = RngStream(5)
-        run = run_fpf(model, obs, 100, ConstantGainMethod(), rng)
+        run = fpf_from_prior(model, obs, 100, ConstantGainMethod(), rng)
         prior = model.sample_prior(RngStream(5), 100)
         assert np.array_equal(run.ensemble.particles, prior)
         assert run.means.shape == (1, 1)
@@ -146,7 +156,7 @@ class TestRunFpf:
         rng = RngStream(71)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
         oracle = kalman_bucy_run(model, obs)
-        run = run_fpf(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
+        run = fpf_from_prior(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
         se = np.sqrt(np.diag(oracle.terminal.cov) / 10_000)
         assert np.all(np.abs(run.means[-1] - oracle.terminal.mean) <= 3 * se)
 
@@ -154,15 +164,15 @@ class TestRunFpf:
         model = make_static_param(2, 1.0, 1.0)
         rng = RngStream(13)
         _, obs = simulate_truth_and_observations(model, 0.05, 0.5, rng.substream(0))
-        run_a = run_fpf(model, obs, 200, ConstantGainMethod(), rng.substream(1))
-        run_b = run_fpf(model, obs, 200, GalerkinGainMethod(coordinate_basis(2)), rng.substream(1))
+        run_a = fpf_from_prior(model, obs, 200, ConstantGainMethod(), rng.substream(1))
+        run_b = fpf_from_prior(model, obs, 200, GalerkinGainMethod(coordinate_basis(2)), rng.substream(1))
         assert np.abs(run_a.means - run_b.means).max() <= 1e-10
 
     def test_seed_determinism(self):
         model = make_static_param(1, 1.0, 1.0)
         _, obs = simulate_truth_and_observations(model, 0.05, 0.5, RngStream(1))
-        a = run_fpf(model, obs, 128, ConstantGainMethod(), RngStream(2))
-        b = run_fpf(model, obs, 128, ConstantGainMethod(), RngStream(2))
+        a = fpf_from_prior(model, obs, 128, ConstantGainMethod(), RngStream(2))
+        b = fpf_from_prior(model, obs, 128, ConstantGainMethod(), RngStream(2))
         assert np.array_equal(a.ensemble.particles, b.ensemble.particles)
 
     def test_uninformative_observation_preserves_bimodality(self):
@@ -171,7 +181,7 @@ class TestRunFpf:
         model, dens = bimodal_static_model(10.0)
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(5))
-        run = run_fpf(model, obs, 1000, DiffusionMapGainMethod("auto"), rng.substream(6))
+        run = fpf_from_prior(model, obs, 1000, DiffusionMapGainMethod("auto"), rng.substream(6))
         x = np.sort(run.ensemble.particles[:, 0])
 
         z1 = obs.cumulative()[-1][0]
@@ -191,6 +201,108 @@ class TestRunFpf:
         at = lambda v: hist[np.argmin(np.abs(centers - v))]
         assert at(-1.0) > 5 * max(at(0.0), 1e-12)
         assert at(+1.0) > 5 * max(at(0.0), 1e-12)
+
+
+README_LINEAR = dict(
+    A=np.array([[-1.0, 0.5], [-0.5, -1.0]]),
+    H=np.array([[1.0, 0.0]]),
+    sigma_B=0.5 * np.eye(2),
+    m0=np.array([1.0, -1.0]),
+    Sigma0=np.eye(2),
+)
+
+
+ENKF_TAGS = {"enkf-sqrt": "sqrt", "enkf-perturbed": "perturbed", "enkf-det": "deterministic"}
+
+
+def reference_moments(method, model, obs, n, rng):
+    """The stepping loops that ``cips filter`` ran for enkf-* and sir before run_filter.
+
+    Kept verbatim as the reference: the same draws in the same order (the
+    prior from ``rng``, then each step's draws), the moments formed by hand.
+    """
+    dt = obs.dt
+    if method.startswith("enkf-"):
+        variant = LinearVariant(ENKF_TAGS[method])
+        ens = Ensemble(model.sample_prior(rng, n), time=obs.t0)
+        means = [empirical_moments(ens.particles)[0]]
+        covs = [empirical_moments(ens.particles)[1]]
+        for k in range(obs.num_steps):
+            ens = linear_enkf_step(ens, obs.increments[k], dt, model, variant, rng)
+            m, s = empirical_moments(ens.particles)
+            means.append(m)
+            covs.append(s)
+        return np.array(means), np.array(covs)
+    wens = uniform_weighted(model.sample_prior(rng, n))
+    means, covs = [], []
+    w_mean = wens.weights @ wens.particles
+    means.append(w_mean)
+    covs.append((wens.particles - w_mean).T @ (wens.weights[:, None] * (wens.particles - w_mean)))
+    for k in range(obs.num_steps):
+        wens = bootstrap_pf_step(wens, obs.increments[k], dt, model, rng)
+        w_mean = wens.weights @ wens.particles
+        means.append(w_mean)
+        covs.append((wens.particles - w_mean).T @ (wens.weights[:, None] * (wens.particles - w_mean)))
+    return np.array(means), np.array(covs)
+
+
+def unbiased_constant_gain(particles, h_values):
+    """The constant gain rescaled by N/(N-1): Sigma^(N) H^T with the (N-1)-normalized Sigma."""
+    n = particles.shape[0]
+    return GainField(values=constant_gain(particles, h_values).values * (n / (n - 1)),
+                     constant=True)
+
+
+class TestRunFilter:
+    @pytest.mark.parametrize("method", ["enkf-sqrt", "enkf-perturbed", "enkf-det", "sir"])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_matches_reference_loops_bitwise(self, method, linear):
+        model = make_linear_gaussian(**README_LINEAR) if linear else make_static_param(2, 1.0, 1.0)
+        _, obs = simulate_truth_and_observations(model, 0.02, 1.0, RngStream(8).substream(0))
+        ref_means, ref_covs = reference_moments(method, model, obs, 60, RngStream(8).substream(1))
+
+        rng = RngStream(8).substream(1)
+        prior = model.sample_prior(rng, 60)
+        if method == "sir":
+            start, step = uniform_weighted(prior), bootstrap_pf_step
+        else:
+            start = Ensemble(prior, time=obs.t0)
+            step = partial(linear_enkf_step, variant=LinearVariant(ENKF_TAGS[method]))
+        run = run_filter(model, obs, start, step, rng)
+        np.testing.assert_array_equal(run.times, obs.times)
+        np.testing.assert_array_equal(run.means, ref_means)
+        np.testing.assert_array_equal(run.covs, ref_covs)
+
+    def test_moments_formed_once_per_state(self, monkeypatch):
+        import cips.fpf
+
+        calls = []
+        monkeypatch.setattr(cips.fpf, "empirical_moments",
+                            lambda x: calls.append(1) or empirical_moments(x))
+        model = make_linear_gaussian(**README_LINEAR)
+        _, obs = simulate_truth_and_observations(model, 0.02, 0.2, RngStream(1))
+        start = Ensemble(model.sample_prior(RngStream(2), 30))
+        run_filter(model, obs, start, partial(linear_enkf_step, variant=LinearVariant("sqrt")),
+                   RngStream(3))
+        assert len(calls) == obs.num_steps + 1
+
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_square_root_enkf_is_constant_gain_fpf(self, steps):
+        # The paper's identity: with linear h the constant-gain FPF is the
+        # square-root EnKF.  The two codes differ only in the covariance
+        # normalization (1/N for constant_gain, 1/(N-1) for the EnKF), so a
+        # rescaled constant gain must reproduce the EnKF to rounding, process
+        # noise and its draws included.
+        model = make_linear_gaussian(**README_LINEAR)
+        _, obs = simulate_truth_and_observations(model, 0.02, 0.02 * steps, RngStream(9))
+        start = Ensemble(model.sample_prior(RngStream(10), 200))
+        fpf = run_filter(model, obs, start, partial(fpf_step, gain_method=unbiased_constant_gain),
+                         RngStream(11))
+        enkf = run_filter(model, obs, start, partial(linear_enkf_step, variant=LinearVariant("sqrt")),
+                          RngStream(11))
+        x_fpf, x_enkf = fpf.ensemble.particles, enkf.ensemble.particles
+        assert not np.array_equal(x_enkf, start.particles)
+        assert np.abs(x_fpf - x_enkf).max() <= 1e-12 * np.abs(x_enkf).max()
 
 
 def test_diffusion_map_gain_method_warm_start_state():

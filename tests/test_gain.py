@@ -9,11 +9,11 @@ from cips.gain import (
     constant_gain,
     coordinate_basis,
     diffusion_map_gain,
+    empirical_objective,
     exact_gain_1d,
     galerkin_gain,
     gaussian_bump_basis_1d,
     polynomial_basis_1d,
-    variational_gain_linear,
 )
 from cips.models import Density1D, make_bimodal
 
@@ -122,28 +122,37 @@ class TestGalerkinGain:
 
 
 class TestVariationalGain:
-    def test_matches_galerkin(self):
+    @pytest.mark.parametrize("case", ["poly-1d", "coord-2d"])
+    def test_galerkin_minimises_empirical_objective(self, case):
+        # Variational identity: over f = sum_l theta_l psi_l, the Galerkin
+        # coefficients minimise J(f) = (1/N) sum_i [|grad f|^2/2 - f (h - hbar)],
+        # so no perturbation of theta lowers J.
         rng = RngStream(30)
-        x = rng.standard_normal((200, 1))
-        h = np.tanh(x[:, 0])
-        basis = polynomial_basis_1d([1, 2, 3])
-        a = galerkin_gain(x, h, basis).per_particle(200)
-        b = variational_gain_linear(x, h, basis).per_particle(200)
-        scale = max(np.abs(a).max(), 1e-30)
-        assert np.abs(a - b).max() <= 1e-10 * scale
+        if case == "poly-1d":
+            x = rng.standard_normal((200, 1))
+            h = np.tanh(x[:, :1])
+            basis = polynomial_basis_1d([1, 2, 3])
+        else:
+            x = rng.standard_normal((200, 2))
+            h = np.stack([np.sin(x[:, 0]), x[:, 0] * x[:, 1]], axis=1)
+            basis = coordinate_basis(2)
+        n, d = x.shape
+        values = galerkin_gain(x, h, basis).values                  # (N, d, m)
+        grads = basis.evaluate_gradients(x)                          # (N, M, d)
+        design = grads.transpose(0, 2, 1).reshape(n * d, len(basis))
+        theta = np.linalg.lstsq(design, values.reshape(n * d, -1), rcond=None)[0]
+        best = empirical_objective(x, h, basis, theta)
+        assert np.all(best < 0.0)                                    # J(0) = 0
+        for scale in (1e-4, 1e-2, 1.0):
+            for _ in range(20):
+                delta = scale * rng.standard_normal(theta.shape)
+                assert np.all(empirical_objective(x, h, basis, theta + delta) >= best)
 
     def test_zero_observable_gives_zero(self):
         rng = RngStream(31)
         x = rng.standard_normal((50, 1))
-        field = variational_gain_linear(x, np.zeros(50), polynomial_basis_1d([1, 2]))
+        field = galerkin_gain(x, np.zeros(50), polynomial_basis_1d([1, 2]))
         assert np.abs(field.values).max() == 0.0
-
-    def test_gaussian_coordinate_basis_recovers_constant_gain(self):
-        rng = RngStream(32)
-        x = rng.standard_normal((5000, 1)) * 1.3
-        field = variational_gain_linear(x, x[:, 0], coordinate_basis(1))
-        constant = constant_gain(x, x[:, 0]).values[0, 0]
-        assert np.allclose(field.values[:, 0, 0], constant, rtol=1e-12)
 
 
 class TestDiffusionMapGain:
@@ -204,6 +213,23 @@ class TestDiffusionMapGain:
         x = np.array([0.0, 2000.0])
         with pytest.raises(GainSolveError, match="try eps"):
             diffusion_map_gain(x, x, eps=1e-4)
+
+    @pytest.mark.parametrize("eps", [0.2, "auto"])
+    def test_isolated_particle_raises(self, eps):
+        # one far outlier has no kernel mass off the diagonal: its row of T
+        # would be an identity row and its gain silently zero
+        x = np.append(make_bimodal(0.2).sample(RngStream(5), 100), 50.0)
+        with pytest.raises(GainSolveError) as err:
+            diffusion_map_gain(x, x, eps)
+        msg = str(err.value)
+        assert "1 of 101 particles isolated" in msg
+        assert "first: particle 100" in msg
+        assert ("try eps" in msg) == (eps != "auto")
+
+    def test_auto_bandwidth_from_the_gain_distances(self):
+        x = RngStream(4).standard_normal((80, 2))
+        _, state = diffusion_map_gain(x, x[:, 0], "auto")
+        assert state.eps == auto_bandwidth(x)
 
     def test_auto_bandwidth_positive(self):
         x = make_bimodal(0.2).sample(RngStream(3), 50)
