@@ -31,7 +31,7 @@ from .gain import diffusion_map_gain, exact_gain_1d
 from .kalman import solve_dre_backward
 from .models import Density1D, make_bimodal, make_lq_canonical
 from .dual_enkf import relative_value_mse, run_dual_enkf
-from .sir import modified_weights
+from .sir import modified_weights, self_normalized_estimate
 
 SCHEMA_VERSION = 1
 
@@ -183,10 +183,7 @@ def static_pf_mse(
             w = modified_weights(samples, z1, sigma0, sigma_w)
             est = np.sum(w * fvals, axis=1)
         else:
-            log_num = -np.sum((z1[:, None, :] - samples) ** 2, axis=2) / (2 * sigma_w**2)
-            top = log_num.max(axis=1, keepdims=True)
-            w = np.exp(log_num - top)
-            est = np.sum(w * fvals, axis=1) / np.sum(w, axis=1)
+            est = self_normalized_estimate(samples, z1, sigma_w, fvals)
         sq_errors[done : done + take] = (est - target) ** 2
         done += take
     mse = float(sq_errors.mean())
@@ -542,7 +539,7 @@ def _dual_enkf_cell(seed, di, d, rep, n_list, dt, horizon):
     for ni, n in enumerate(n_list):
         run = run_dual_enkf(lq, n, dt, base.substream(1 + ni))
         rel = relative_value_mse(run.cov_path, oracle.values, dt, horizon)
-        closed = lq.A + lq.B @ run.gain_path.gains[0]
+        closed = lq.A + lq.B @ run.gains[0]
         absc = float(np.max(np.linalg.eigvals(closed).real))
         rows.append((d, n, rep, rel, absc))
     return rows

@@ -111,22 +111,11 @@ def _merge(config: dict, args: argparse.Namespace, names: list[str],
     return out
 
 
-def _parse_int_list(value) -> tuple[int, ...]:
+def _parse_list(value, cast) -> tuple:
+    """A list, or a comma-separated string, with ``cast`` applied to each item."""
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
-
-
-def _parse_float_list(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
-
-
-def _parse_str_list(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
+        return tuple(cast(v) for v in value)
+    return tuple(cast(tok.strip()) for tok in str(value).split(",") if tok.strip())
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -142,7 +131,8 @@ def _setup_errors():
     """Report the library's argument checks made during set-up as usage errors.
 
     The rules (positive dt, at least two particles, ...) are written once,
-    as ``ValueError``s where the library checks them; here they exit 2.
+    as ``ValueError``s where the library checks them; here they exit 2, as
+    do the ``ValueError``s of casting an option value (``int("x")``).
     Failures while stepping are ``NumericError``s and still exit 1.
     """
     try:
@@ -268,16 +258,17 @@ def cmd_gain_study(args: argparse.Namespace) -> int:
         raise ConfigError("gain-study supports density 'bimodal' only")
     if str(opts.get("h", "x")) != "x":
         raise ConfigError("gain-study supports the identity observable h = x only")
-    cfg = RunConfig(
-        experiment="bias-variance",
-        seed=int(opts.get("seed", 0)),
-        reps=int(opts.get("reps", 100)),
-        n_list=_parse_int_list(opts.get("n_list", "200")),
-        d_list=(1,),
-        eps_list=_parse_float_list(opts["eps_list"]),
-        bimodal_sigma2=float(opts.get("sigma2", 0.2)),
-        jobs=int(opts.get("jobs", 1)),
-    )
+    with _setup_errors():
+        cfg = RunConfig(
+            experiment="bias-variance",
+            seed=int(opts.get("seed", 0)),
+            reps=int(opts.get("reps", 100)),
+            n_list=_parse_list(opts.get("n_list", "200"), int),
+            d_list=(1,),
+            eps_list=_parse_list(opts["eps_list"], float),
+            bimodal_sigma2=float(opts.get("sigma2", 0.2)),
+            jobs=int(opts.get("jobs", 1)),
+        )
     _write_or_print(gain_study_table(cfg), args.out)
     return 0
 
@@ -298,7 +289,9 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
         dt = float(opts.get("dt", 0.02))
         horizon = float(opts.get("horizon", 10.0))
         seed = int(opts.get("seed", 0))
-        oracle_only = bool(opts.get("oracle_only", False))
+        oracle_only = opts.get("oracle_only", False)
+        if not isinstance(oracle_only, bool):
+            raise ConfigError(f"oracle_only must be true or false, got {oracle_only!r}")
         rng = RngStream(seed)
         lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=horizon)
         run = run_dual_enkf(lq, n, dt, rng.substream(1), oracle_only=oracle_only)
@@ -307,7 +300,7 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
     gain_cols = ("t",) + tuple(f"k_{i}_{j}" for i in range(m) for j in range(d))
     gain_rows = [
         (float(t),) + tuple(float(v) for v in K.reshape(-1))
-        for t, K in zip(run.gain_path.times, run.gain_path.gains)
+        for t, K in zip(run.times, run.gains)
     ]
     meta = table_metadata(seed, "lqr-gain", fingerprint({k: str(v) for k, v in opts.items()}))
     _write_or_print(ResultTable(columns=gain_cols, rows=gain_rows, metadata=meta), args.out)
@@ -405,21 +398,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     merged = dict(_BENCH_DEFAULTS[experiment])
     merged.update({k: v for k, v in opts.items() if k != "experiment"})
-    cfg = RunConfig(
-        experiment=experiment,
-        seed=int(merged.get("seed", 0)),
-        reps=int(merged.get("reps", 100)),
-        n_list=_parse_int_list(merged.get("n_list", (1000,))),
-        d_list=_parse_int_list(merged.get("d_list", (1,))),
-        eps_list=_parse_float_list(merged.get("eps_list", ())),
-        methods=_parse_str_list(merged.get("methods", ("pf", "pf-modified", "fpf"))),
-        sigma0=float(merged.get("sigma0", 1.0)),
-        sigma_w=float(merged.get("sigma_w", 1.0)),
-        dt=float(merged.get("dt", 0.02)),
-        horizon=float(merged.get("horizon", 1.0)),
-        bimodal_sigma2=float(merged.get("bimodal_sigma2", 0.2)),
-        jobs=int(merged.get("jobs", 1)),
-    )
+    with _setup_errors():
+        cfg = RunConfig(
+            experiment=experiment,
+            seed=int(merged.get("seed", 0)),
+            reps=int(merged.get("reps", 100)),
+            n_list=_parse_list(merged.get("n_list", (1000,)), int),
+            d_list=_parse_list(merged.get("d_list", (1,)), int),
+            eps_list=_parse_list(merged.get("eps_list", ()), float),
+            methods=_parse_list(merged.get("methods", ("pf", "pf-modified", "fpf")), str),
+            sigma0=float(merged.get("sigma0", 1.0)),
+            sigma_w=float(merged.get("sigma_w", 1.0)),
+            dt=float(merged.get("dt", 0.02)),
+            horizon=float(merged.get("horizon", 1.0)),
+            bimodal_sigma2=float(merged.get("bimodal_sigma2", 0.2)),
+            jobs=int(merged.get("jobs", 1)),
+        )
     _write_or_print(run_experiment(cfg), args.out)
     return 0
 

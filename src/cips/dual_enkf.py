@@ -3,8 +3,9 @@
 N copies of the open-loop model are simulated backward from T with
 exploration noise shaped by R^{-1} and a coupling term built from the
 ensemble's own covariance.  The empirical covariance S^(N)_t tracks the
-inverse P_t^{-1} of the value Riccati matrix, so the LQR gain falls out of
-ensemble statistics in a single backward pass with no Riccati solve and no
+inverse P_t^{-1} of the value Riccati matrix, so the value matrix is read
+as (S^(N))^{-1} and the LQR gain as -R^{-1} B^T (S^(N))^{-1}: one d x d
+solve per step, in a single backward pass with no Riccati solve and no
 outer iteration.
 
 Everything runs under oracle access: when the explicit (A, B, C) matrices
@@ -56,14 +57,6 @@ class DualEnsembleState:
         return self.moments[1]
 
 
-@dataclass(frozen=True)
-class GainPath:
-    """Feedback gain matrices on a uniform time grid."""
-
-    times: np.ndarray   # (K + 1,), ascending
-    gains: np.ndarray   # (K + 1, m, d)
-
-
 class _LQOps:
     """Matrix products through explicit matrices or row-wise oracle calls."""
 
@@ -87,14 +80,6 @@ class _LQOps:
             return states @ self.A.T
         zu = np.zeros((states.shape[0], self.lq.dim_input))
         return call_rowwise("dynamics", self.lq.dynamics, states, zu, cols=self.lq.dim_state)
-
-    def inject(self, inputs: np.ndarray) -> np.ndarray:
-        """B @ xi^i for every row of ``inputs``."""
-        return inputs @ self.B.T
-
-    def ctc_apply(self, states: np.ndarray) -> np.ndarray:
-        """C^T C @ v for every row of ``states``."""
-        return states @ self.ctc.T
 
 
 def dual_enkf_init(lq: LQProblem, num_particles: int, rng: RngStream) -> DualEnsembleState:
@@ -129,11 +114,11 @@ def dual_enkf_backward_step(
     y = st.particles
     n_mean, S = st.moments
 
-    coupling = 0.5 * ops.ctc_apply(y + n_mean) @ S.T
+    coupling = 0.5 * ((y + n_mean) @ ops.ctc.T) @ S.T
     z = rng.standard_normal((y.shape[0], lq.dim_input))
     xi = np.sqrt(dt) * np.linalg.solve(ops.chol_R.T, z.T).T   # cov R^{-1} dt
 
-    y_new = y - (ops.drift(y) + coupling) * dt - ops.inject(xi)
+    y_new = y - (ops.drift(y) + coupling) * dt - xi @ ops.B.T
     if not np.all(np.isfinite(y_new)):
         raise FilterDivergenceError(
             f"dual ensemble became nonfinite stepping to t={st.time - dt:.6g}"
@@ -141,26 +126,21 @@ def dual_enkf_backward_step(
     return DualEnsembleState(particles=y_new, time=st.time - dt)
 
 
-def dual_particles(st: DualEnsembleState) -> np.ndarray:
-    """Transformed particles X^i = (S^(N))^{-1} (Y^i - n^(N)), shape (N, d)."""
-    n_mean, S = st.moments
-    return solve_with_jitter(S, (st.particles - n_mean).T).T
-
-
 def value_matrix(st: DualEnsembleState) -> np.ndarray:
-    """Ensemble estimate of the value matrix: (1/(N-1)) sum_i X^i (X^i)^T."""
-    x = dual_particles(st)
-    P = x.T @ x / (st.num_particles - 1)
+    """Ensemble estimate P^(N) = (S^(N))^{-1} of the value matrix, symmetrised.
+
+    A singular S^(N) gets one jitter retry, then raises
+    ``NotPositiveDefiniteError``.
+    """
+    S = st.cov
+    P = solve_with_jitter(S, np.eye(S.shape[0]))
     return 0.5 * (P + P.T)
 
 
 def extract_gain(st: DualEnsembleState, lq: LQProblem, ops: _LQOps | None = None) -> np.ndarray:
-    """Feedback gain -(1/(N-1)) sum_i R^{-1} (B^T X^i)(X^i)^T, shape (m, d)."""
+    """Feedback gain -R^{-1} B^T P^(N), shape (m, d)."""
     ops = ops or _LQOps(lq, oracle_only=False)
-    x = dual_particles(st)
-    btx = x @ ops.B                       # (N, m) rows B^T X^i
-    accum = btx.T @ x / (st.num_particles - 1)
-    return -np.linalg.solve(lq.R, accum)
+    return -np.linalg.solve(lq.R, ops.B.T @ value_matrix(st))
 
 
 def hamiltonian(st: DualEnsembleState, x: np.ndarray, alpha: np.ndarray, lq: LQProblem) -> float:
@@ -197,8 +177,8 @@ def hamiltonian_policy(st: DualEnsembleState, x: np.ndarray, lq: LQProblem) -> n
 class DualEnkfRun:
     """Gain and empirical-covariance paths from one backward sweep."""
 
-    gain_path: GainPath
     times: np.ndarray        # (K + 1,), ascending
+    gains: np.ndarray        # (K + 1, m, d)
     cov_path: np.ndarray     # (K + 1, d, d) empirical S^(N)
     final_state: DualEnsembleState
 
@@ -229,12 +209,8 @@ def run_dual_enkf(
         k = num_steps - 1 - j
         covs[k] = st.cov
         gains[k] = extract_gain(st, lq, ops)
-    times = dt * np.arange(num_steps + 1)
     return DualEnkfRun(
-        gain_path=GainPath(times=times, gains=gains),
-        times=times,
-        cov_path=covs,
-        final_state=st,
+        times=dt * np.arange(num_steps + 1), gains=gains, cov_path=covs, final_state=st,
     )
 
 
@@ -249,11 +225,8 @@ def relative_value_mse(
     (1/T) * int ||P_t - P^(N)_t||_F^2 / ||P_t||_F^2 dt, trapezoid-discretized
     on the grid.
     """
-    ratios = np.empty(cov_path.shape[0])
-    for k in range(cov_path.shape[0]):
-        P_n = np.linalg.inv(cov_path[k])
-        diff = oracle_values[k] - P_n
-        ratios[k] = np.sum(diff * diff) / np.sum(oracle_values[k] * oracle_values[k])
+    diff = oracle_values - np.linalg.inv(cov_path)
+    ratios = np.sum(diff * diff, axis=(1, 2)) / np.sum(oracle_values * oracle_values, axis=(1, 2))
     weights = np.full(ratios.shape[0], dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5

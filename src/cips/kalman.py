@@ -113,18 +113,20 @@ def kalman_bucy_run(
     return BeliefPath(times=obs.times, means=means, covs=covs)
 
 
-def control_riccati_rhs(P: np.ndarray, A: np.ndarray, B: np.ndarray,
-                        C: np.ndarray, R: np.ndarray) -> np.ndarray:
+def riccati_weights(lq: LQProblem, oracle_only: bool = False) -> tuple[np.ndarray, ...]:
+    """(A, G, Q) with G = B R^{-1} B^T and Q = C^T C, formed once per solve."""
+    A, B, C = lq_matrices(lq, oracle_only=oracle_only)
+    return A, B @ np.linalg.solve(lq.R, B.T), C.T @ C
+
+
+def control_riccati_rhs(P: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """-dP/dt of the backward value Riccati equation."""
-    BRinvBt = B @ np.linalg.solve(R, B.T)
-    return A.T @ P + P @ A + C.T @ C - P @ BRinvBt @ P
+    return A.T @ P + P @ A + Q - P @ G @ P
 
 
-def dual_riccati_rhs(S: np.ndarray, A: np.ndarray, B: np.ndarray,
-                     C: np.ndarray, R: np.ndarray) -> np.ndarray:
+def dual_riccati_rhs(S: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """dS/dt of the dual Riccati equation for S = P^{-1}."""
-    BRinvBt = B @ np.linalg.solve(R, B.T)
-    return A @ S + S @ A.T - BRinvBt + S @ (C.T @ C) @ S
+    return A @ S + S @ A.T - G + S @ Q @ S
 
 
 def _rk4_matrix_step(X: np.ndarray, rhs, h: float) -> np.ndarray:
@@ -159,20 +161,20 @@ def solve_dre_backward(lq: LQProblem, dt: float, oracle_only: bool = False) -> R
     The returned path is indexed forward in time: ``values[k]`` is P at
     ``t = k * dt`` and ``values[-1] = P_T``.
     """
-    A, B, C = lq_matrices(lq, oracle_only=oracle_only)
+    A, G, Q = riccati_weights(lq, oracle_only)
 
     def rhs(P):  # d P / d tau with tau = T - t
-        return control_riccati_rhs(P, A, B, C, lq.R)
+        return control_riccati_rhs(P, A, G, Q)
 
     return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
 
 
 def solve_dual_dre(lq: LQProblem, dt: float, oracle_only: bool = False) -> RiccatiPath:
     """Backward integration of the dual Riccati equation from S_T = P_T^{-1}."""
-    A, B, C = lq_matrices(lq, oracle_only=oracle_only)
+    A, G, Q = riccati_weights(lq, oracle_only)
 
     def rhs(S):  # d S / d tau = -(dS/dt) with tau = T - t
-        return -dual_riccati_rhs(S, A, B, C, lq.R)
+        return -dual_riccati_rhs(S, A, G, Q)
 
     S_T = symmetrize(np.linalg.inv(lq.P_T))
     return _integrate_backward(lq, dt, S_T, rhs, "dual Riccati")
@@ -236,9 +238,7 @@ def solve_are(lq: LQProblem, oracle_only: bool = False) -> np.ndarray:
     iteration.  Raises ``ConvergenceError`` when no stabilizing solution
     exists (an unstabilizable or undetectable problem).
     """
-    A, B, C = lq_matrices(lq, oracle_only=oracle_only)
-    G = B @ np.linalg.solve(lq.R, B.T)
-    Q = C.T @ C
+    A, G, Q = riccati_weights(lq, oracle_only)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             P = _stable_graph(_matrix_sign(np.block([[A, -G], [-Q, -A.T]])), A, G)

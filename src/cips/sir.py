@@ -62,12 +62,30 @@ def ess(wens: WeightedEnsemble) -> float:
     return float(1.0 / np.sum(wens.weights**2))
 
 
-def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
-    top = logw.max()
-    if not np.isfinite(top):
+def _shifted_weights(logw: np.ndarray) -> np.ndarray:
+    """exp(logw - max) along the last axis, so the largest weight is 1."""
+    top = logw.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(top)):
         raise WeightCollapseError("all importance weights collapsed to zero")
-    w = np.exp(logw - top)
-    return w / w.sum()
+    return np.exp(logw - top)
+
+
+def self_normalized_estimate(
+    samples: np.ndarray,
+    z1: np.ndarray,
+    sigma_w: float,
+    fvals: np.ndarray,
+) -> np.ndarray:
+    """Self-normalized importance-sampling estimate, batched over leading axes.
+
+    ``samples`` has shape ``(..., N, d)``, ``z1`` shape ``(..., d)`` and
+    ``fvals`` shape ``(..., N)``; the result ``(...)`` is
+    sum_i w_i f_i / sum_i w_i with w_i proportional to
+    exp(-|Z_1 - X^i|^2 / (2 sigma_w^2)), stabilized through log-sum-exp.
+    """
+    log_num = -np.sum((z1[..., None, :] - samples) ** 2, axis=-1) / (2 * sigma_w**2)
+    w = _shifted_weights(log_num)
+    return np.sum(w * fvals, axis=-1) / np.sum(w, axis=-1)
 
 
 def static_is_estimate(
@@ -76,21 +94,14 @@ def static_is_estimate(
     sigma_w: float,
     f: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """Self-normalized importance-sampling estimate for the static benchmark.
-
-    Weights w_i proportional to exp(-|Z_1 - X^i|^2 / (2 sigma_w^2)),
-    stabilized through log-sum-exp.
-    """
+    """Self-normalized importance-sampling estimate for the static benchmark."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if sigma_w <= 0:
         raise ValueError("sigma_w must be positive")
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    logw = -np.sum((z1 - x) ** 2, axis=1) / (2.0 * sigma_w**2)
-    w = _normalize_log_weights(logw)
-    vals = np.asarray(f(x), dtype=float)
-    return float(w @ vals)
+    return float(self_normalized_estimate(x, z1, sigma_w, np.asarray(f(x), dtype=float)))
 
 
 def modified_weights(
@@ -187,7 +198,8 @@ def bootstrap_pf_step(
     with np.errstate(divide="ignore", over="ignore"):
         girsanov = (h @ dz - 0.5 * np.sum(h * h, axis=1) * dt) / model.obs_noise_scale**2
         logw = np.log(wens.weights) + girsanov
-    w = _normalize_log_weights(logw)
+    w = _shifted_weights(logw)
+    w = w / w.sum()
 
     if 1.0 / np.sum(w**2) < resample_threshold * n:
         idx = systematic_resample(w, rng)

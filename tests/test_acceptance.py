@@ -388,7 +388,7 @@ def test_criterion_9_dual_enkf_benchmarks():
     for d in (2, 10):
         lq = make_lq_canonical(d, rng.substream(2 * d))
         run = run_dual_enkf(lq, 1000, 0.02, rng.substream(2 * d + 1))
-        closed = lq.A + lq.B @ run.gain_path.gains[0]
+        closed = lq.A + lq.B @ run.gains[0]
         absc[d] = float(np.max(np.linalg.eigvals(closed).real))
         assert absc[d] < 0.0
 

@@ -17,6 +17,7 @@ from cips.bench import (
 )
 from cips.cli import load_config, main
 from cips.core import RngStream
+from cips.dual_enkf import run_dual_enkf
 from cips.exceptions import ConfigError
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import LinearVariant, linear_enkf_step
@@ -432,6 +433,8 @@ class TestCli:
         ["lqr-solve", "--d", "2", "--n", "2"],
         ["lqr-solve", "--dt", "0"],
         ["lqr-solve", "--d", "0"],
+        ["bench", "--experiment", "mse-levelsets", "--n-list", "10,x", "--reps", "2"],
+        ["gain-study", "--eps-list", "0.1,abc"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -490,6 +493,45 @@ class TestCli:
         assert err.startswith("error:") and "'t'" in err and "horizon" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, text", [
+        ("bench", "experiment = mse-levelsets\nreps = abc\n"),
+        ("lqr-solve", "oracle_only = False\n"),
+        ("lqr-solve", "oracle_only = 1\n"),
+    ], ids=["bench-reps-abc", "lqr-oracle-only-False", "lqr-oracle-only-1"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, sub, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\n" + text)
+        out = tmp_path / "o.csv"
+        code = main([sub, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, argv, expected", [
+        ("oracle_only = false\n", [], False),
+        ("oracle_only = true\n", [], True),
+        ("", ["--oracle-only"], True),
+        ("", [], False),
+    ], ids=["config-false", "config-true", "flag", "default"])
+    def test_lqr_oracle_only_reads_json_bool_or_flag(self, tmp_path, monkeypatch,
+                                                     text, argv, expected):
+        import cips.cli
+
+        seen = []
+
+        def spy(*args, oracle_only):
+            seen.append(oracle_only)
+            return run_dual_enkf(*args, oracle_only=oracle_only)
+
+        monkeypatch.setattr(cips.cli, "run_dual_enkf", spy)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nd = 2\nn = 50\nhorizon = 0.1\n" + text)
+        assert main(["lqr-solve", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+                    + argv) == 0
+        assert seen == [expected]
 
     def test_readme_linear_model_config_runs(self, tmp_path):
         cfg = tmp_path / "model.ini"

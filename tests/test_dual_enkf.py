@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cips.core import RngStream
 from cips.dual_enkf import (
+    DualEnsembleState,
     _LQOps,
     dual_enkf_backward_step,
     dual_enkf_init,
-    dual_particles,
     extract_gain,
     hamiltonian_policy,
     relative_value_mse,
     run_dual_enkf,
     value_matrix,
 )
+from cips.exceptions import NotPositiveDefiniteError
 from cips.kalman import solve_dre_backward, solve_dual_dre
 from cips.models import LQProblem, make_lq_canonical
 
@@ -88,7 +91,7 @@ class TestGainExtraction:
     def test_scalar_stationary_gain(self):
         lq = scalar_unit_lq()
         run = run_dual_enkf(lq, 2000, 0.02, RngStream(7))
-        assert run.gain_path.gains[0][0, 0] == pytest.approx(-1.0, abs=0.1)
+        assert run.gains[0][0, 0] == pytest.approx(-1.0, abs=0.1)
 
     def test_zero_cost_matches_lyapunov_oracle(self):
         # C = 0: the value matrix follows a linear equation; compare K_t
@@ -105,13 +108,13 @@ class TestGainExtraction:
         oracle = solve_dre_backward(lq, 0.02)
         run = run_dual_enkf(lq, 10_000, 0.02, rng)
         K_exact = -(B.T @ oracle.values[0])
-        assert np.abs(run.gain_path.gains[0] - K_exact).max() <= 0.05
+        assert np.abs(run.gains[0] - K_exact).max() <= 0.05
 
     def test_closed_loop_stability_canonical_d2(self):
         rng = RngStream(123)
         lq = make_lq_canonical(2, rng.substream(0))
         run = run_dual_enkf(lq, 1000, 0.02, rng.substream(1))
-        closed = lq.A + lq.B @ run.gain_path.gains[0]
+        closed = lq.A + lq.B @ run.gains[0]
         assert np.max(np.linalg.eigvals(closed).real) < 0
 
 
@@ -145,7 +148,7 @@ class TestRunDualEnkf:
         lq = replace(lq, horizon=0.2)
         run = run_dual_enkf(lq, 100, 0.02, RngStream(2))
         assert run.times.shape == (11,)
-        assert run.gain_path.gains.shape == (11, 1, 2)
+        assert run.gains.shape == (11, 1, 2)
         assert run.cov_path.shape == (11, 2, 2)
         assert run.final_state.time == pytest.approx(0.0, abs=1e-12)
 
@@ -156,11 +159,11 @@ class TestRunDualEnkf:
         a = run_dual_enkf(lq, 200, 0.02, RngStream(55))
         b = run_dual_enkf(lq, 200, 0.02, RngStream(55), oracle_only=True)
         np.testing.assert_array_equal(a.cov_path, b.cov_path)
-        np.testing.assert_array_equal(a.gain_path.gains, b.gain_path.gains)
+        np.testing.assert_array_equal(a.gains, b.gains)
         stripped = replace(lq, A=None, B=None, C=None)
         c = run_dual_enkf(stripped, 200, 0.02, RngStream(55))
         np.testing.assert_array_equal(a.cov_path, c.cov_path)
-        np.testing.assert_array_equal(a.gain_path.gains, c.gain_path.gains)
+        np.testing.assert_array_equal(a.gains, c.gains)
 
     def test_oracle_only_calls_dynamics_once_per_step(self):
         lq = make_lq_canonical(2, RngStream(9))
@@ -233,12 +236,47 @@ class TestRunDualEnkf:
             errT.append(np.linalg.norm(run.cov_path[-1] - dual.values[-1], "fro"))
         assert np.mean(err0) <= np.mean(errT)
 
-    def test_transformed_particles_consistent(self):
-        lq = make_lq_canonical(2, RngStream(21))
-        st = dual_enkf_init(lq, 300, RngStream(22))
-        x = dual_particles(st)
-        n_mean, S = st.mean, st.cov
-        rebuilt = x @ S + n_mean
-        assert np.abs(rebuilt - st.particles).max() <= 1e-10
-        P = value_matrix(st)
-        assert np.abs(P - P.T).max() <= 1e-12
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 6),
+    m=st.integers(1, 3),
+    extra=st.integers(0, 300),
+    steps=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_matrix_is_inverse_covariance(d, m, extra, steps, seed):
+    # reference: the transformed particles X = (Y - n) S^{-1} and their
+    # second moment (1/(N-1)) X^T X, which equals S^{-1} exactly
+    gen = np.random.default_rng(seed)
+    A = gen.uniform(-1.0, 1.0, (d, d))
+    B = gen.uniform(-1.0, 1.0, (d, m))
+    L = gen.uniform(-0.5, 0.5, (m, m))
+    lq = LQProblem(
+        dim_state=d, dim_input=m,
+        dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+        cost_output=lambda x: np.asarray(x),
+        R=L @ L.T + 0.5 * np.eye(m), P_T=np.eye(d), horizon=1.0,
+        A=A, B=B, C=np.eye(d),
+    )
+    rng = RngStream(seed)
+    ens = dual_enkf_init(lq, 4 * d + 2 + extra, rng)
+    for _ in range(steps):
+        ens = dual_enkf_backward_step(ens, 0.02, lq, rng)
+    n_mean, S = ens.moments
+    x = np.linalg.solve(S, (ens.particles - n_mean).T).T
+    ref = x.T @ x / (ens.num_particles - 1)
+
+    P = value_matrix(ens)
+    assert np.abs(P - P.T).max() <= 1e-12
+    assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
+    K = extract_gain(ens, lq)
+    K_ref = -np.linalg.solve(lq.R, B.T @ np.linalg.inv(S))
+    assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
+
+
+def test_value_matrix_singular_covariance_raises():
+    # identical particles: S = 0, and the jitter retry (scaled by tr S) is 0 too
+    ens = DualEnsembleState(particles=np.ones((5, 2)), time=0.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        value_matrix(ens)

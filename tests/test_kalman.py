@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cips.core import RngStream
+from cips.core import RngStream, symmetrize
 from cips.exceptions import ConvergenceError, FilterDivergenceError
 from cips.kalman import (
+    _integrate_backward,
     control_riccati_rhs,
     kalman_bucy_run,
     lqr_gain,
+    riccati_weights,
     solve_are,
     solve_dre_backward,
     solve_dual_dre,
@@ -131,6 +134,30 @@ class TestValueRiccati:
         b = solve_dre_backward(lq, dt=0.02, oracle_only=True)
         assert np.abs(a.values - b.values).max() <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("oracle_only", [False, True])
+    def test_weights_formed_once_match_per_stage(self, d, oracle_only):
+        # reference right-hand sides that form G = B R^{-1} B^T and Q = C^T C
+        # again in every RK4 stage; forming them once must change no bit
+        lq = replace(make_lq_canonical(d, RngStream(300 + d)), horizon=1.0)
+        A, B, C, R = lq.A, lq.B, lq.C, lq.R
+
+        def value_rhs(P):
+            G = B @ np.linalg.solve(R, B.T)
+            return A.T @ P + P @ A + C.T @ C - P @ G @ P
+
+        def dual_rhs(S):
+            G = B @ np.linalg.solve(R, B.T)
+            return -(A @ S + S @ A.T - G + S @ (C.T @ C) @ S)
+
+        S_T = symmetrize(np.linalg.inv(lq.P_T))
+        np.testing.assert_array_equal(
+            solve_dre_backward(lq, 0.02, oracle_only=oracle_only).values,
+            _integrate_backward(lq, 0.02, lq.P_T, value_rhs, "Riccati").values)
+        np.testing.assert_array_equal(
+            solve_dual_dre(lq, 0.02, oracle_only=oracle_only).values,
+            _integrate_backward(lq, 0.02, S_T, dual_rhs, "dual Riccati").values)
+
 
 class TestARE:
     def test_scalar_unit(self):
@@ -144,7 +171,7 @@ class TestARE:
     def test_residual_canonical_d2(self):
         lq = make_lq_canonical(2, RngStream(42))
         P = solve_are(lq)
-        resid = control_riccati_rhs(P, lq.A, lq.B, lq.C, lq.R)
+        resid = control_riccati_rhs(P, *riccati_weights(lq))
         assert np.linalg.norm(resid, "fro") <= 1e-8
 
     def test_closed_loop_stable(self):
