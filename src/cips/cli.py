@@ -111,11 +111,32 @@ def _merge(config: dict, args: argparse.Namespace, names: list[str],
     return out
 
 
-def _parse_list(value, cast) -> tuple:
-    """A list, or a comma-separated string, with ``cast`` applied to each item."""
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return tuple(cast(tok.strip()) for tok in str(value).split(",") if tok.strip())
+def _cast(key: str, value, kind: type):
+    """One option value as ``kind`` (``int``, ``float`` or ``str``).
+
+    Config values are whatever JSON made of them: a list, null, a bool, a
+    non-integral number for an ``int`` or an unparsable string is a
+    ``ConfigError`` naming the key, not a ``TypeError`` or a truncation.
+    """
+    fits = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    if fits and not (kind is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def _option(opts: dict, key: str, default, kind: type):
+    """``opts[key]``, or ``default`` when it is absent, through :func:`_cast`."""
+    return _cast(key, opts.get(key, default), kind)
+
+
+def _parse_list(key: str, value, kind: type) -> tuple:
+    """A list, or a comma-separated string, with each item cast to ``kind``."""
+    if not isinstance(value, (list, tuple)):
+        value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+    return tuple(_cast(key, v, kind) for v in value)
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -131,9 +152,9 @@ def _setup_errors():
     """Report the library's argument checks made during set-up as usage errors.
 
     The rules (positive dt, at least two particles, ...) are written once,
-    as ``ValueError``s where the library checks them; here they exit 2, as
-    do the ``ValueError``s of casting an option value (``int("x")``).
-    Failures while stepping are ``NumericError``s and still exit 1.
+    as ``ValueError``s where the library checks them; here they exit 2.
+    Option values are cast by :func:`_cast`, which raises ``ConfigError``
+    itself.  Failures while stepping are ``NumericError``s and still exit 1.
     """
     try:
         yield
@@ -161,8 +182,8 @@ _MODEL_KEYS = ("a_matrix", "h_matrix", "sigma_b", "m0", "sigma0_matrix")
 def _build_model(opts: dict):
     kind = str(opts.get("model", "static"))
     if kind == "static":
-        d = int(opts.get("d", 1))
-        return make_static_param(d, float(opts.get("sigma0", 1.0)), float(opts.get("sigma_w", 1.0)))
+        return make_static_param(_option(opts, "d", 1, int), _option(opts, "sigma0", 1.0, float),
+                                 _option(opts, "sigma_w", 1.0, float))
     if kind == "linear":
         missing = [k for k in _MODEL_KEYS if k not in opts]
         if missing:
@@ -173,7 +194,7 @@ def _build_model(opts: dict):
             _matrix(opts["sigma_b"], "sigma_b"),
             _matrix(opts["m0"], "m0"),
             _matrix(opts["sigma0_matrix"], "sigma0_matrix"),
-            obs_noise_scale=float(opts.get("sigma_w", 1.0)),
+            obs_noise_scale=_option(opts, "sigma_w", 1.0, float),
         )
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -218,10 +239,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if method not in FILTER_METHODS:
         raise ConfigError(f"unknown filter method {method!r}; choose from {FILTER_METHODS}")
     with _setup_errors():
-        seed = int(opts.get("seed", 0))
-        n = int(opts.get("n", 1000))
-        dt = float(opts.get("dt", 0.02))
-        horizon = float(opts.get("horizon", 1.0))
+        seed = _option(opts, "seed", 0, int)
+        n = _option(opts, "n", 1000, int)
+        dt = _option(opts, "dt", 0.02, float)
+        horizon = _option(opts, "horizon", 1.0, float)
         model = _build_model(opts)
         rng = RngStream(seed)
         _, obs = simulate_truth_and_observations(model, dt, horizon, rng.substream(0))
@@ -261,13 +282,13 @@ def cmd_gain_study(args: argparse.Namespace) -> int:
     with _setup_errors():
         cfg = RunConfig(
             experiment="bias-variance",
-            seed=int(opts.get("seed", 0)),
-            reps=int(opts.get("reps", 100)),
-            n_list=_parse_list(opts.get("n_list", "200"), int),
+            seed=_option(opts, "seed", 0, int),
+            reps=_option(opts, "reps", 100, int),
+            n_list=_parse_list("n_list", opts.get("n_list", "200"), int),
             d_list=(1,),
-            eps_list=_parse_list(opts["eps_list"], float),
-            bimodal_sigma2=float(opts.get("sigma2", 0.2)),
-            jobs=int(opts.get("jobs", 1)),
+            eps_list=_parse_list("eps_list", opts["eps_list"], float),
+            bimodal_sigma2=_option(opts, "sigma2", 0.2, float),
+            jobs=_option(opts, "jobs", 1, int),
         )
     _write_or_print(gain_study_table(cfg), args.out)
     return 0
@@ -284,11 +305,11 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
     # run_dual_enkf checks the grid and the ensemble size before its first
     # step; its stepping failures are NumericErrors, not ValueErrors.
     with _setup_errors():
-        d = int(opts.get("d", 2))
-        n = int(opts.get("n", 1000))
-        dt = float(opts.get("dt", 0.02))
-        horizon = float(opts.get("horizon", 10.0))
-        seed = int(opts.get("seed", 0))
+        d = _option(opts, "d", 2, int)
+        n = _option(opts, "n", 1000, int)
+        dt = _option(opts, "dt", 0.02, float)
+        horizon = _option(opts, "horizon", 10.0, float)
+        seed = _option(opts, "seed", 0, int)
         oracle_only = opts.get("oracle_only", False)
         if not isinstance(oracle_only, bool):
             raise ConfigError(f"oracle_only must be true or false, got {oracle_only!r}")
@@ -342,7 +363,7 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     mean_y = np.atleast_1d(_matrix(opts.get("mean_y", [0.0] * m), "mean_y"))
     jg = JointGaussian(mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_xy=cov_xy, cov_y=cov_y)
 
-    samples = int(opts.get("samples", 0) or 0)
+    samples = _option(opts, "samples", 0, int)
     method = str(opts.get("method", "ot"))
     if samples > 0:
         if not args.sample_out:
@@ -353,7 +374,7 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     mean, cov = blue_update(jg, y)
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
-    seed = int(opts.get("seed", 0))
+    seed = _option(opts, "seed", 0, int)
     meta = table_metadata(seed, "static-update", fingerprint({k: str(v) for k, v in opts.items()}))
     _write_or_print(ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta), args.out)
 
@@ -401,18 +422,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with _setup_errors():
         cfg = RunConfig(
             experiment=experiment,
-            seed=int(merged.get("seed", 0)),
-            reps=int(merged.get("reps", 100)),
-            n_list=_parse_list(merged.get("n_list", (1000,)), int),
-            d_list=_parse_list(merged.get("d_list", (1,)), int),
-            eps_list=_parse_list(merged.get("eps_list", ()), float),
-            methods=_parse_list(merged.get("methods", ("pf", "pf-modified", "fpf")), str),
-            sigma0=float(merged.get("sigma0", 1.0)),
-            sigma_w=float(merged.get("sigma_w", 1.0)),
-            dt=float(merged.get("dt", 0.02)),
-            horizon=float(merged.get("horizon", 1.0)),
-            bimodal_sigma2=float(merged.get("bimodal_sigma2", 0.2)),
-            jobs=int(merged.get("jobs", 1)),
+            seed=_option(merged, "seed", 0, int),
+            reps=_option(merged, "reps", 100, int),
+            n_list=_parse_list("n_list", merged.get("n_list", (1000,)), int),
+            d_list=_parse_list("d_list", merged.get("d_list", (1,)), int),
+            eps_list=_parse_list("eps_list", merged.get("eps_list", ()), float),
+            methods=_parse_list("methods", merged.get("methods", ("pf", "pf-modified", "fpf")), str),
+            sigma0=_option(merged, "sigma0", 1.0, float),
+            sigma_w=_option(merged, "sigma_w", 1.0, float),
+            dt=_option(merged, "dt", 0.02, float),
+            horizon=_option(merged, "horizon", 1.0, float),
+            bimodal_sigma2=_option(merged, "bimodal_sigma2", 0.2, float),
+            jobs=_option(merged, "jobs", 1, int),
         )
     _write_or_print(run_experiment(cfg), args.out)
     return 0

@@ -249,13 +249,11 @@ def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
 
 @dataclass(frozen=True)
 class DiffusionMapState:
-    """Kernel matrices and fixed-point solution of the diffusion-map solve."""
+    """Markov matrix and fixed-point solution of the diffusion-map solve."""
 
     eps: float
     sweeps: int | None                # sweeps performed; None for a direct solve
     phi: np.ndarray                   # (N, m) fixed-point values
-    kernel: np.ndarray                # g_ij Gaussian kernel
-    sym_kernel: np.ndarray            # k_ij symmetric normalization
     transition: np.ndarray            # T_ij row-stochastic Markov matrix
     stationary: np.ndarray            # pi_i stationary weights
 
@@ -268,21 +266,24 @@ def auto_bandwidth(particles: np.ndarray) -> float:
 def _median_bandwidth(d2: np.ndarray) -> float:
     """:func:`auto_bandwidth` from the matrix of pairwise squared distances."""
     n = d2.shape[0]
-    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    # The strict upper triangle row by row, in np.triu_indices order but
+    # without its two N(N-1)/2 index arrays.
+    upper = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
+    med = float(np.median(upper, overwrite_input=True))
     if med <= 0:
         return 1.0
     return med / (4.0 * max(np.log(n), 1.0))
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clipped at 0."""
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = np.add.outer(sq, sq)
+    gram = x @ x.T
+    gram *= 2.0
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
     return d2
-
-
-MAX_SWEEPS = 10_000
-SWEEP_TOL = 1e-9
 
 
 def diffusion_map_gain(
@@ -308,8 +309,15 @@ def diffusion_map_gain(
 
         K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
 
-    with r = Phi + eps h.  Vector observations share the kernel and solve
-    one fixed-point problem per component.
+    with r = Phi + eps h, from the one matrix product T [r | r (x) X | X]
+    (N x (m + dm + d)).  Vector observations share the kernel and solve one
+    fixed-point problem per component.
+
+    Memory: the distances, g, k and T are built in place in one N x N
+    buffer, which ``state.transition`` holds; each step of the build adds at
+    most one N x N temporary.  The direct solve adds the pinned matrix and
+    LAPACK's LU copy of it, so a call peaks at three N x N float64 arrays:
+    T, the pinned matrix and its LU (``tracemalloc`` sees the first two).
     """
     x = _as_particle_matrix(particles)
     h = _as_obs_matrix(h_values)
@@ -323,16 +331,20 @@ def diffusion_map_gain(
     if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
-    d2 = _pairwise_sq_dists(x)
-    eps = _median_bandwidth(d2) if auto else float(eps)
-    g = np.exp(-d2 / (4.0 * eps))
-    row = g.sum(axis=1)
+    # d2, then g, then k, then T, each overwriting the last in one buffer.
+    T = _pairwise_sq_dists(x)
+    eps = _median_bandwidth(T) if auto else float(eps)
+    np.negative(T, out=T)
+    T /= 4.0 * eps
+    np.exp(T, out=T)
+    row = T.sum(axis=1)
     # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but a row
     # whose off-diagonal mass underflows becomes an identity row of T, which
     # silently zeroes that particle's gain (and two such rows make the pinned
     # system singular).
     isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
     if isolated.size:
+        d2 = _pairwise_sq_dists(x)
         first = int(isolated[0])
         nearest = float(np.min(np.delete(d2[first], first)))
         hint = "" if auto else f"; try eps around {_median_bandwidth(d2):.3e}"
@@ -341,9 +353,12 @@ def diffusion_map_gain(
             f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
             f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
-    k = g / np.sqrt(np.outer(row, row))
-    deg = k.sum(axis=1)
-    T = k / deg[:, None]
+    norm = np.outer(row, row)
+    np.sqrt(norm, out=norm)
+    T /= norm
+    del norm                                       # before the pinned matrix
+    deg = T.sum(axis=1)
+    T /= deg[:, None]
     pi = deg / deg.sum()
 
     hbar = pi @ h                                  # (m,)
@@ -360,20 +375,19 @@ def diffusion_map_gain(
         # Direct fixed point: pin the pi-average (conserved by the sweep
         # iteration) and solve (I - T + 1 pi^T) Phi = rhs + 1 (pi^T Phi_prev).
         sweeps = None
-        pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
+        pinned = np.negative(T)
+        pinned[np.diag_indices(n)] += 1.0
+        pinned += pi
         phi = np.linalg.solve(pinned, rhs + np.outer(np.ones(n), pi @ phi))
 
     r = phi + eps * h                              # (N, m)
-    Tr = T @ r                                     # (N, m)
-    # K^i = (1/2eps) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ]
-    TrX = np.einsum("ij,jm,jd->idm", T, r, x)
-    TX = T @ x                                     # (N, d)
-    values = (TrX - np.einsum("im,id->idm", Tr, TX)) / (2.0 * eps)
+    # K^i = (1/2eps) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ]: the three
+    # sums are the column blocks of one product T [r | r (x) x | x].
+    rx = (x[:, :, None] * r[:, None, :]).reshape(n, d * m)
+    Tr, TrX, TX = np.split(T @ np.concatenate([r, rx, x], axis=1), [m, m + d * m], axis=1)
+    values = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
     field = GainField(values=values, constant=False)
-    state = DiffusionMapState(
-        eps=eps, sweeps=sweeps, phi=phi, kernel=g, sym_kernel=k,
-        transition=T, stationary=pi,
-    )
+    state = DiffusionMapState(eps=eps, sweeps=sweeps, phi=phi, transition=T, stationary=pi)
     return field, state
 
 

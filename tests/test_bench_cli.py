@@ -494,21 +494,42 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sub, text", [
-        ("bench", "experiment = mse-levelsets\nreps = abc\n"),
-        ("lqr-solve", "oracle_only = False\n"),
-        ("lqr-solve", "oracle_only = 1\n"),
-    ], ids=["bench-reps-abc", "lqr-oracle-only-False", "lqr-oracle-only-1"])
-    def test_bad_config_value_exits_2(self, tmp_path, capsys, sub, text):
+    @pytest.mark.parametrize("sub, text, key", [
+        ("bench", "experiment = mse-levelsets\nreps = abc\n", "reps"),
+        ("lqr-solve", "oracle_only = False\n", "oracle_only"),
+        ("lqr-solve", "oracle_only = 1\n", "oracle_only"),
+        ("bench", "experiment = mse-levelsets\nreps = [1, 2]\n", "reps"),
+        ("lqr-solve", "seed = null\n", "seed"),
+        ("filter", "method = kalman\nn = 50.7\n", "n"),
+        ("filter", "method = kalman\ndt = true\n", "dt"),
+        ("bench", "experiment = mse-levelsets\nn_list = [100, null]\n", "n_list"),
+        ("static-update", "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\n"
+                          "y = [0.2]\nsamples = abc\n", "samples"),
+    ], ids=["bench-reps-abc", "lqr-oracle-only-False", "lqr-oracle-only-1",
+            "bench-reps-list", "lqr-seed-null", "filter-n-fraction", "filter-dt-bool",
+            "bench-n-list-null", "static-update-samples-abc"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, sub, text, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[run]\n" + text)
         out = tmp_path / "o.csv"
         code = main([sub, "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_integral_config_numbers_accepted(self, tmp_path):
+        # JSON reads 1e2 as a float; an integral float is a valid count
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nmethod = fpf-const\nn = 1e2\nhorizon = 0.1\n")
+        out = tmp_path / "o.csv"
+        assert main(["filter", "--config", str(cfg), "--out", str(out)]) == 0
+        flag = tmp_path / "flag.csv"
+        assert main(["filter", "--method", "fpf-const", "--n", "100", "--T", "0.1",
+                     "--out", str(flag)]) == 0
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert data == [ln for ln in flag.read_text().splitlines() if not ln.startswith("#")]
 
     @pytest.mark.parametrize("text, argv, expected", [
         ("oracle_only = false\n", [], False),

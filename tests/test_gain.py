@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cips.core import RngStream
 from cips.exceptions import GainSolveError
 from cips.gain import (
     BasisSet,
+    _as_obs_matrix,
+    _as_particle_matrix,
     auto_bandwidth,
     constant_gain,
     coordinate_basis,
@@ -50,6 +55,100 @@ def poisson_bvp_gain_1d(density, h, grid):
     rhs[mid] = 0.0
     phi = solve_banded((1, 1), ab, rhs)
     return np.gradient(phi, grid)
+
+
+def dense_diffusion_map_gain(particles, h_values, eps, num_sweeps=None, phi_prev=None):
+    """Reference: the diffusion-map gain with one N x N array per stage.
+
+    The arithmetic of ``diffusion_map_gain`` written directly: d2, g, k, T,
+    eye(N), outer(1, pi) and the pinned matrix are separate arrays, the
+    median reads the upper triangle through ``np.triu_indices`` and the gain
+    is read off with a three-operand einsum.  Returns (gains, eps, phi, T, pi).
+    """
+    x = _as_particle_matrix(particles)
+    h = _as_obs_matrix(h_values)
+    n, d = x.shape
+    m = h.shape[1]
+    auto = isinstance(eps, str)
+
+    def median_bandwidth(d2):
+        med = float(np.median(d2[np.triu_indices(n, k=1)]))
+        if med <= 0:
+            return 1.0
+        return med / (4.0 * max(np.log(n), 1.0))
+
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    eps = median_bandwidth(d2) if auto else float(eps)
+    g = np.exp(-d2 / (4.0 * eps))
+    row = g.sum(axis=1)
+    isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
+    if isolated.size:
+        first = int(isolated[0])
+        nearest = float(np.min(np.delete(d2[first], first)))
+        hint = "" if auto else f"; try eps around {median_bandwidth(d2):.3e}"
+        raise GainSolveError(
+            f"{isolated.size} of {n} particles isolated: their kernel rows have no "
+            f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
+            f"nearest-neighbour squared distance {nearest:.3e}){hint}"
+        )
+    k = g / np.sqrt(np.outer(row, row))
+    deg = k.sum(axis=1)
+    T = k / deg[:, None]
+    pi = deg / deg.sum()
+
+    hbar = pi @ h
+    rhs = eps * (h - hbar)
+    phi = np.zeros((n, m)) if phi_prev is None else np.array(phi_prev, dtype=float).reshape(n, m)
+    if num_sweeps is not None:
+        for _ in range(num_sweeps):
+            phi = T @ phi + rhs
+    else:
+        pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
+        phi = np.linalg.solve(pinned, rhs + np.outer(np.ones(n), pi @ phi))
+
+    r = phi + eps * h
+    Tr = T @ r
+    TrX = np.einsum("ij,jm,jd->idm", T, r, x)
+    TX = T @ x
+    values = (TrX - np.einsum("im,id->idm", Tr, TX)) / (2.0 * eps)
+    return values, eps, phi, T, pi
+
+
+def readout_scale(T, phi, eps, h, x):
+    """Largest sum_j T_ij |r_j| |X^j| / (2 eps), r = Phi + eps h.
+
+    The gain is the difference of two sums of this size, so rounding in the
+    readout is of order 1e-16 times this scale, whatever the gain's own size.
+    """
+    r = np.abs(phi + eps * _as_obs_matrix(h))
+    return np.einsum("ij,jm,jd->idm", T, r, np.abs(_as_particle_matrix(x))).max() / (2.0 * eps)
+
+
+def assert_matches_dense(x, h, eps, num_sweeps=None, phi_prev=None):
+    """The lean gain against the dense reference: eps, phi, T and pi bitwise,
+    the gains to 1e-12 relative to max|K| (see the comment below)."""
+    try:
+        K, eps_ref, phi, T, pi = dense_diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+    except GainSolveError as err:
+        with pytest.raises(GainSolveError) as lean_err:
+            diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+        assert str(lean_err.value) == str(err)
+        return
+    field, state = diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+    assert state.eps == eps_ref
+    np.testing.assert_array_equal(state.phi, phi)
+    np.testing.assert_array_equal(state.transition, T)
+    np.testing.assert_array_equal(state.stationary, pi)
+    # Only the order of the readout's sums changed.  Where the two sums
+    # cancel (a weakly connected particle with a large phi), the reference
+    # itself is off by about 1e-16 times the readout scale; its deviation
+    # from the lean readout was at most 2.4e-15 of that scale over 3000
+    # random inputs.  So the gate is 1e-12 relative to max|K| while the
+    # scale is at most 100 max|K|, and 1e-14 of the scale above that.
+    scale = max(np.abs(K).max(), readout_scale(T, phi, eps_ref, h, x) / 100.0)
+    assert np.abs(field.values - K).max() <= 1e-12 * scale
 
 
 class TestConstantGain:
@@ -171,7 +270,9 @@ class TestDiffusionMapGain:
             assert np.abs(state.transition.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.all(state.stationary >= 0)
             assert state.stationary.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(state.kernel - state.kernel.T).max() == 0.0
+            # the kernel is symmetric, so T is reversible: pi_i T_ij = pi_j T_ji
+            flow = state.stationary[:, None] * state.transition
+            assert np.all(np.abs(flow - flow.T) <= 1e-15 * np.maximum(flow, flow.T))
 
     def test_direct_solve_equals_converged_sweeps(self):
         dens = make_bimodal(0.2)
@@ -230,6 +331,41 @@ class TestDiffusionMapGain:
         x = RngStream(4).standard_normal((80, 2))
         _, state = diffusion_map_gain(x, x[:, 0], "auto")
         assert state.eps == auto_bandwidth(x)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 300),
+        d=st.integers(1, 4),
+        m=st.integers(1, 2),
+        eps=st.one_of(st.just("auto"), st.floats(0.05, 2.0)),
+        num_sweeps=st.one_of(st.none(), st.integers(1, 5)),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, n, d, m, eps, num_sweeps, warm, seed):
+        rng = RngStream(seed)
+        x = rng.standard_normal((n, d))
+        h = np.sin(x[:, :1] * np.arange(1, m + 1)) + x[:, -1:]
+        phi_prev = rng.standard_normal((n, m)) if warm else None
+        assert_matches_dense(x, h, eps, num_sweeps, phi_prev)
+
+    def test_matches_dense_reference_n2000(self):
+        x = RngStream(20).standard_normal((2000, 2))
+        assert_matches_dense(x, x[:, :1], "auto")
+
+    def test_traced_peak_two_arrays(self):
+        # T and the pinned matrix; LAPACK's LU copy is not seen by tracemalloc
+        # (the dense reference peaked at about 6 N^2)
+        n = 1000
+        x = RngStream(21).standard_normal((n, 2))
+        diffusion_map_gain(x, x[:, :1], "auto")
+        tracemalloc.start()
+        try:
+            diffusion_map_gain(x, x[:, :1], "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
     def test_auto_bandwidth_positive(self):
         x = make_bimodal(0.2).sample(RngStream(3), 50)
