@@ -29,7 +29,7 @@ from .core import RngStream
 from .exceptions import ConfigError
 from .gain import diffusion_map_gain, exact_gain_1d
 from .kalman import solve_dre_backward
-from .models import Density1D, make_bimodal, make_lq_canonical
+from .models import Density1D, grid_steps, make_bimodal, make_lq_canonical
 from .dual_enkf import relative_value_mse, run_dual_enkf
 from .sir import modified_weights, self_normalized_estimate
 
@@ -107,6 +107,19 @@ class RunConfig:
             raise ConfigError("eps values must be positive")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ConfigError("need dt > 0 and horizon >= dt")
+        # the FPF cells of mse-levelsets step to the posterior at t = 1
+        span = {"mse-levelsets": 1.0, "dual-enkf": self.horizon}.get(self.experiment)
+        if span is not None:
+            try:
+                grid_steps(span, self.dt)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        # every (N, d) cell of dual-enkf must pass dual_enkf_init's check
+        n_min, d_max = min(map(int, self.n_list)), max(map(int, self.d_list))
+        if self.experiment == "dual-enkf" and n_min <= d_max:
+            raise ConfigError(
+                f"N={n_min}: need more than d={d_max} particles for a nonsingular empirical covariance"
+            )
         if self.sigma0 <= 0 or self.sigma_w <= 0 or self.bimodal_sigma2 <= 0:
             raise ConfigError("scale parameters must be positive")
         for m in self.methods:
@@ -219,7 +232,7 @@ def static_fpf_mse(
     """
     a = _unit_direction(d)
     chunk = max(1, min(chunk, int(1e7 // max(num_particles * d, 1)) or 1))
-    num_steps = int(round(1.0 / dt))
+    num_steps = grid_steps(1.0, dt)
     eye = np.eye(d)
     sq_errors = np.empty(reps)
     done = 0

@@ -14,14 +14,35 @@ model); filters consume it as a scaling of the Z-increment weighting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .core import RngStream, is_positive_definite, symmetrize
 from .exceptions import FilterDivergenceError
+
+# The standard library's erf, element-wise, so cips needs numpy alone at run time.
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
+def grid_steps(span: float, dt: float) -> int:
+    """Number of steps of size ``dt`` that make up ``span``; it must be whole.
+
+    Raises ``ValueError`` when dt is not positive, when span/dt is not a
+    finite number (an overflowing step count) or when the steps miss
+    ``span`` by more than 1e-9 relative.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {span} / dt {dt} is not a finite number of steps")
+    steps = int(round(ratio))
+    if abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"horizon {span} is not a multiple of dt {dt}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ class Density1D:
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = (x[..., None] - self.means) / np.sqrt(2.0 * self.variances)
-        return (0.5 * (1.0 + erf(z))) @ self.weights
+        return (0.5 * (1.0 + _erf(z))) @ self.weights
 
     def mean(self) -> float:
         return float(self.weights @ self.means)
@@ -180,12 +201,7 @@ class LQProblem:
 
     def num_steps(self, dt: float) -> int:
         """Number of steps of size ``dt`` on [0, horizon]; must be whole."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        steps = int(round(self.horizon / dt))
-        if abs(steps * dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {dt}")
-        return steps
+        return grid_steps(self.horizon, dt)
 
 
 def call_rowwise(name: str, oracle: Callable, *args: np.ndarray, cols: int | None = None) -> np.ndarray:
@@ -347,13 +363,9 @@ def simulate_truth_and_observations(
     Returns the state path with shape ``(K + 1, d)`` and an
     :class:`ObservationPath` with ``Delta Z_k = h(X_k) dt + sigma_w dW_k``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < dt:
+    num_steps = grid_steps(horizon, dt)
+    if num_steps < 1:
         raise ValueError("horizon must be at least dt")
-    num_steps = int(round(horizon / dt))
-    if abs(num_steps * dt - horizon) > 1e-12 * max(1.0, abs(horizon)):
-        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
 
     d, m = model.dim_state, model.dim_obs
     x = model.sample_prior(rng, 1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,22 @@ class TestRunConfig:
             RunConfig(experiment="bias-variance", eps_list=(-0.1,))
         with pytest.raises(ConfigError):
             RunConfig(experiment="mse-levelsets", methods=("bogus",))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(experiment="mse-levelsets", dt=0.6),
+        dict(experiment="mse-levelsets", dt=1e-320),
+        dict(experiment="dual-enkf", horizon=1.0, dt=0.3),
+        dict(experiment="dual-enkf", horizon=float("inf")),
+    ])
+    def test_step_count_checked_at_set_up(self, kwargs):
+        with pytest.raises(ConfigError, match="multiple|finite"):
+            RunConfig(**kwargs)
+
+    def test_dual_enkf_needs_more_particles_than_d_in_every_cell(self):
+        RunConfig(experiment="dual-enkf", n_list=(4, 10), d_list=(1, 3))
+        for n_list, d_list in [((2,), (2,)), ((10, 3), (1, 3)), ((10,), (2, 10))]:
+            with pytest.raises(ConfigError, match="particles"):
+                RunConfig(experiment="dual-enkf", n_list=n_list, d_list=d_list)
 
     def test_fingerprint_stable(self):
         a = RunConfig(experiment="dual-enkf", seed=3, horizon=10.0)
@@ -435,6 +456,15 @@ class TestCli:
         ["lqr-solve", "--d", "0"],
         ["bench", "--experiment", "mse-levelsets", "--n-list", "10,x", "--reps", "2"],
         ["gain-study", "--eps-list", "0.1,abc"],
+        ["filter", "--method", "kalman", "--T", "1e308"],
+        ["lqr-solve", "--d", "2", "--n", "10", "--dt", "1e-320"],
+        ["lqr-solve", "--d", "2", "--n", "10", "--T", "inf"],
+        ["bench", "--experiment", "mse-levelsets", "--dt", "1e-320", "--d-list", "1",
+         "--n-list", "10", "--reps", "2"],
+        ["bench", "--experiment", "mse-levelsets", "--methods", "fpf", "--d-list", "1",
+         "--n-list", "200", "--reps", "400", "--dt", "0.6"],
+        ["bench", "--experiment", "dual-enkf", "--d-list", "2", "--n-list", "2",
+         "--reps", "1", "--T", "0.1"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -444,6 +474,34 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: no subcommand may load it
+        script = f"""
+import sys
+import cips
+from cips.cli import main
+out = {str(tmp_path)!r} + "/o.csv"
+runs = [
+    ["filter", "--method", "kalman", "--T", "0.1"],
+    ["filter", "--method", "fpf-dm", "--n", "50", "--T", "0.04"],
+    ["gain-study", "--eps-list", "0.5", "--n-list", "20", "--reps", "2"],
+    ["lqr-solve", "--d", "2", "--n", "10", "--T", "0.1"],
+    ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+     "--y", "[0.2]"],
+    ["bench", "--experiment", "dual-enkf", "--d-list", "1", "--n-list", "5", "--reps", "1",
+     "--T", "0.1"],
+]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_filter_dm_isolated_particle_exits_1(self, tmp_path, capsys):
         # at this seed one particle is thrown far from the rest and has no

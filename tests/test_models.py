@@ -6,6 +6,7 @@ from cips.models import (
     Density1D,
     ObservationPath,
     controllability_matrix,
+    grid_steps,
     lq_matrices,
     make_bimodal,
     make_linear_gaussian,
@@ -109,6 +110,30 @@ class TestBimodal:
         assert cdf[0] == pytest.approx(0.0, abs=1e-12)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dens", [
+        make_bimodal(0.2),
+        Density1D(means=[-3.0, 0.5, 2.0], variances=[0.1, 2.0, 0.7], weights=[0.2, 0.5, 0.3]),
+    ], ids=["bimodal", "three-component"])
+    def test_cdf_matches_scipy_erf(self, dens):
+        from scipy.special import erf
+
+        x = np.linspace(-40.0, 40.0, 200_001)
+        z = (x[:, None] - dens.means) / np.sqrt(2.0 * dens.variances)
+        reference = (0.5 * (1.0 + erf(z))) @ dens.weights
+        assert np.abs(dens.cdf(x) - reference).max() <= 4.5e-16
+
+    def test_cdf_symmetric_for_symmetric_density(self):
+        dens = make_bimodal(0.2)
+        x = np.linspace(0.0, 8.0, 8001)
+        assert np.abs(dens.cdf(-x) - (1.0 - dens.cdf(x))).max() <= 4.5e-16
+
+    def test_cdf_derivative_is_pdf(self):
+        dens = make_bimodal(0.2)
+        x = dens.support_grid(4001)
+        h = 1e-5
+        slope = (dens.cdf(x + h) - dens.cdf(x - h)) / (2.0 * h)
+        assert np.abs(slope - dens.pdf(x)).max() <= 1e-6
+
     def test_sampling_moments(self):
         dens = make_bimodal(0.2)
         x = dens.sample(RngStream(9), 200_000)
@@ -170,6 +195,29 @@ class TestSimulate:
         emp_cov = np.cov(finals.T)
         se_cov = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S**2) / reps)
         assert np.all(np.abs(emp_cov - S) < 3 * se_cov)
+
+
+class TestGridSteps:
+    @pytest.mark.parametrize("span, dt, steps", [
+        (1.0, 0.02, 50), (0.3, 0.1, 3), (10.0, 0.02, 500), (1.0, 1 / 3, 3),
+    ])
+    def test_whole_step_counts(self, span, dt, steps):
+        assert grid_steps(span, dt) == steps == int(round(span / dt))
+
+    @pytest.mark.parametrize("span, dt, match", [
+        (1.0, 0.0, "positive"),
+        (1.0, -0.1, "positive"),
+        (1.0, float("nan"), "positive"),
+        (1.0, 0.3, "multiple"),
+        (1.0, 0.6, "multiple"),
+        (1e308, 0.02, "finite"),
+        (10.0, 1e-320, "finite"),
+        (float("inf"), 0.02, "finite"),
+        (float("nan"), 0.02, "finite"),
+    ])
+    def test_rejects_bad_steps(self, span, dt, match):
+        with pytest.raises(ValueError, match=match):
+            grid_steps(span, dt)
 
 
 class TestObservationPath:
