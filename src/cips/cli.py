@@ -35,15 +35,8 @@ from .bench import (
 )
 from .core import RngStream
 from .exceptions import ConfigError, NumericError
-from .fpf import (
-    ConstantGainMethod,
-    DiffusionMapGainMethod,
-    Ensemble,
-    GalerkinGainMethod,
-    fpf_step,
-    run_filter,
-)
-from .gain import coordinate_basis
+from .fpf import Ensemble, fpf_step, run_filter
+from .gain import constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from .kalman import kalman_bucy_run
 from .linear_ensemble import LinearVariant, linear_enkf_step
 from .models import (
@@ -132,6 +125,19 @@ def _option(opts: dict, key: str, default, kind: type):
     return _cast(key, opts.get(key, default), kind)
 
 
+def _bandwidth(value) -> float | str:
+    """The diffusion-map bandwidth: 'auto' or a positive finite number."""
+    if value == "auto":
+        return value
+    try:
+        eps = _cast("eps", value, float)
+    except ConfigError:
+        eps = float("nan")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be 'auto' or a positive number, got {value!r}")
+    return eps
+
+
 def _parse_list(key: str, value, kind: type) -> tuple:
     """A list, or a comma-separated string, with each item cast to ``kind``."""
     if not isinstance(value, (list, tuple)):
@@ -154,7 +160,9 @@ def _setup_errors():
     The rules (positive dt, at least two particles, ...) are written once,
     as ``ValueError``s where the library checks them; here they exit 2.
     Option values are cast by :func:`_cast`, which raises ``ConfigError``
-    itself.  Failures while stepping are ``NumericError``s and still exit 1.
+    itself.  A size too large to allocate (a whole but astronomical step
+    count, say) is a usage error too.  Failures while stepping are
+    ``NumericError``s and still exit 1.
     """
     try:
         yield
@@ -162,6 +170,8 @@ def _setup_errors():
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"the configuration does not fit in memory: {exc}") from exc
 
 
 def _write_or_print(table: ResultTable, out: str | None) -> None:
@@ -223,11 +233,12 @@ def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
     if method in ENKF_VARIANTS:
         return start, partial(linear_enkf_step, variant=LinearVariant(ENKF_VARIANTS[method]))
     if method == "fpf-const":
-        gain_method = ConstantGainMethod()
+        gain_method = constant_gain
     elif method == "fpf-galerkin":
-        gain_method = GalerkinGainMethod(coordinate_basis(model.dim_state))
+        gain_method = partial(galerkin_gain, basis=coordinate_basis(model.dim_state))
     else:
-        gain_method = DiffusionMapGainMethod(eps=eps)
+        def gain_method(x, h):
+            return diffusion_map_gain(x, h, eps)[0]
     return start, partial(fpf_step, gain_method=gain_method)
 
 
@@ -243,12 +254,13 @@ def cmd_filter(args: argparse.Namespace) -> int:
         n = _option(opts, "n", 1000, int)
         dt = _option(opts, "dt", 0.02, float)
         horizon = _option(opts, "horizon", 1.0, float)
+        eps = _bandwidth(opts.get("eps", "auto"))
         model = _build_model(opts)
         rng = RngStream(seed)
         _, obs = simulate_truth_and_observations(model, dt, horizon, rng.substream(0))
         frng = rng.substream(1)
         if method != "kalman":
-            start, step = _filter_start(method, model, n, opts.get("eps", "auto"), frng, obs.t0)
+            start, step = _filter_start(method, model, n, eps, frng, obs.t0)
     if method == "kalman":
         run = kalman_bucy_run(model, obs)
     else:

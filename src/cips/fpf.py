@@ -24,15 +24,11 @@ import numpy as np
 
 from .core import RngStream, empirical_moments
 from .exceptions import ConfigError, FilterDivergenceError
-from .gain import (
-    BasisSet,
-    GainField,
-    constant_gain,
-    diffusion_map_gain,
-    galerkin_gain,
-)
+from .gain import GainField
 from .models import FilterModel, ObservationPath
 
+# A gain method maps the particles (N, d) and h at them (N, m) to the gain
+# field, e.g. gain.constant_gain, or gain.galerkin_gain with its basis bound.
 GainMethod = Callable[[np.ndarray, np.ndarray], GainField]
 
 
@@ -65,56 +61,6 @@ class Ensemble:
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Empirical mean and (N-1)-normalized covariance, formed once per state."""
         return empirical_moments(self.particles)
-
-
-class ConstantGainMethod:
-    """Constant-gain approximation (empirical cross-covariance)."""
-
-    def __call__(self, particles: np.ndarray, h_values: np.ndarray) -> GainField:
-        return constant_gain(particles, h_values)
-
-
-class GalerkinGainMethod:
-    """Galerkin approximation on a fixed basis."""
-
-    def __init__(self, basis: BasisSet):
-        self.basis = basis
-
-    def __call__(self, particles: np.ndarray, h_values: np.ndarray) -> GainField:
-        return galerkin_gain(particles, h_values, self.basis)
-
-
-def _bandwidth_spec(eps) -> float | str:
-    """'auto' or a positive finite float; numeric strings are accepted."""
-    if eps == "auto":
-        return eps
-    try:
-        value = float(eps)
-    except (TypeError, ValueError):
-        value = float("nan")
-    if isinstance(eps, bool) or not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"eps must be 'auto' or a positive number, got {eps!r}")
-    return value
-
-
-class DiffusionMapGainMethod:
-    """Diffusion-map approximation, warm-starting each solve from the last."""
-
-    def __init__(self, eps: float | str = "auto", num_sweeps: int | None = None):
-        self.eps = _bandwidth_spec(eps)
-        self.num_sweeps = num_sweeps
-        self._phi_prev: np.ndarray | None = None
-
-    def reset(self):
-        self._phi_prev = None
-
-    def __call__(self, particles: np.ndarray, h_values: np.ndarray) -> GainField:
-        field, state = diffusion_map_gain(
-            particles, h_values, self.eps,
-            num_sweeps=self.num_sweeps, phi_prev=self._phi_prev,
-        )
-        self._phi_prev = state.phi
-        return field
 
 
 def fpf_step(

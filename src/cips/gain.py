@@ -22,19 +22,12 @@ from .exceptions import GainSolveError
 from .models import Density1D
 
 
-def _as_obs_matrix(h_values: np.ndarray) -> np.ndarray:
-    """Normalize observation values to shape (N, m)."""
-    h = np.asarray(h_values, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None]
-    return h
-
-
-def _as_particle_matrix(particles: np.ndarray) -> np.ndarray:
-    x = np.asarray(particles, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x
+def _as_matrix(values: np.ndarray) -> np.ndarray:
+    """Particles or observation values as an (N, k) float array; 1-D gives k = 1."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    return a
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,8 @@ def constant_gain(particles: np.ndarray, h_values: np.ndarray) -> GainField:
     observation h = Hx and Gaussian particles this converges to the Kalman
     gain Sigma H^T.
     """
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
     n = x.shape[0]
     if n < 2:
         raise ValueError("constant gain requires at least 2 particles")
@@ -212,8 +205,8 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
     matrix A_kl = (1/N) sum_i grad psi_l . grad psi_k, solves A kappa = b per
     observation component, and evaluates K^i = sum_l kappa_l grad psi_l(X^i).
     """
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
     n, d = x.shape
     if n < 2:
         raise ValueError("galerkin gain requires at least 2 particles")
@@ -231,8 +224,8 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
 def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
                         basis: BasisSet, theta: np.ndarray) -> np.ndarray:
     """Empirical variational objective J^(N)(f_theta), one value per obs component."""
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
     n = x.shape[0]
     grads = basis.evaluate_gradients(x)
     psi = basis.evaluate(x)
@@ -252,7 +245,6 @@ class DiffusionMapState:
     """Markov matrix and fixed-point solution of the diffusion-map solve."""
 
     eps: float
-    sweeps: int | None                # sweeps performed; None for a direct solve
     phi: np.ndarray                   # (N, m) fixed-point values
     transition: np.ndarray            # T_ij row-stochastic Markov matrix
     stationary: np.ndarray            # pi_i stationary weights
@@ -260,7 +252,7 @@ class DiffusionMapState:
 
 def auto_bandwidth(particles: np.ndarray) -> float:
     """Rule-of-thumb kernel bandwidth: median pairwise sq. distance / (4 log N)."""
-    return _median_bandwidth(_pairwise_sq_dists(_as_particle_matrix(particles)))
+    return _median_bandwidth(_pairwise_sq_dists(_as_matrix(particles)))
 
 
 def _median_bandwidth(d2: np.ndarray) -> float:
@@ -290,8 +282,6 @@ def diffusion_map_gain(
     particles: np.ndarray,
     h_values: np.ndarray,
     eps: float | str,
-    num_sweeps: int | None = None,
-    phi_prev: np.ndarray | None = None,
 ) -> tuple[GainField, DiffusionMapState]:
     """Diffusion-map gain approximation.
 
@@ -301,11 +291,10 @@ def diffusion_map_gain(
 
         Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
 
-    warm-started from ``phi_prev``.  With ``num_sweeps`` given, exactly that
-    many fixed-point sweeps are executed; with ``num_sweeps=None`` the
-    fixed point is computed directly (a rank-one-pinned linear solve that
-    equals the limit of the sweeps, which converge since T is a strict
-    contraction on the mean-zero subspace).  Gains are read off as
+    directly: a rank-one-pinned linear solve whose solution is the limit of
+    the fixed-point sweeps Phi <- T Phi + eps (h - hbar) from Phi = 0, which
+    converge since T is a strict contraction on the mean-zero subspace.
+    Gains are read off as
 
         K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
 
@@ -319,8 +308,8 @@ def diffusion_map_gain(
     LAPACK's LU copy of it, so a call peaks at three N x N float64 arrays:
     T, the pinned matrix and its LU (``tracemalloc`` sees the first two).
     """
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
     n, d = x.shape
     m = h.shape[1]
     if n < 2:
@@ -363,22 +352,12 @@ def diffusion_map_gain(
 
     hbar = pi @ h                                  # (m,)
     rhs = eps * (h - hbar)                         # (N, m)
-    phi = np.zeros((n, m)) if phi_prev is None else np.array(phi_prev, dtype=float).reshape(n, m)
-
-    if num_sweeps is not None:
-        if num_sweeps < 1:
-            raise ValueError("num_sweeps must be >= 1")
-        sweeps = int(num_sweeps)
-        for _ in range(sweeps):
-            phi = T @ phi + rhs
-    else:
-        # Direct fixed point: pin the pi-average (conserved by the sweep
-        # iteration) and solve (I - T + 1 pi^T) Phi = rhs + 1 (pi^T Phi_prev).
-        sweeps = None
-        pinned = np.negative(T)
-        pinned[np.diag_indices(n)] += 1.0
-        pinned += pi
-        phi = np.linalg.solve(pinned, rhs + np.outer(np.ones(n), pi @ phi))
+    # Direct fixed point: pin the pi-average (zero along the sweeps from
+    # Phi = 0) and solve (I - T + 1 pi^T) Phi = rhs.
+    pinned = np.negative(T)
+    pinned[np.diag_indices(n)] += 1.0
+    pinned += pi
+    phi = np.linalg.solve(pinned, rhs)
 
     r = phi + eps * h                              # (N, m)
     # K^i = (1/2eps) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ]: the three
@@ -387,7 +366,7 @@ def diffusion_map_gain(
     Tr, TrX, TX = np.split(T @ np.concatenate([r, rx, x], axis=1), [m, m + d * m], axis=1)
     values = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
     field = GainField(values=values, constant=False)
-    state = DiffusionMapState(eps=eps, sweeps=sweeps, phi=phi, transition=T, stationary=pi)
+    state = DiffusionMapState(eps=eps, phi=phi, transition=T, stationary=pi)
     return field, state
 
 

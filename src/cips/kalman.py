@@ -50,9 +50,6 @@ class RiccatiPath:
     times: np.ndarray    # (K + 1,), ascending
     values: np.ndarray   # (K + 1, d, d)
 
-    def at_index(self, k: int) -> np.ndarray:
-        return self.values[k]
-
     @property
     def initial(self) -> np.ndarray:
         return self.values[0]

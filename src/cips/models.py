@@ -31,8 +31,8 @@ def grid_steps(span: float, dt: float) -> int:
     """Number of steps of size ``dt`` that make up ``span``; it must be whole.
 
     Raises ``ValueError`` when dt is not positive, when span/dt is not a
-    finite number (an overflowing step count) or when the steps miss
-    ``span`` by more than 1e-9 relative.
+    finite number (an overflowing step count), when it rounds to no step at
+    all or when the steps miss ``span`` by more than 1e-9 relative.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -40,6 +40,8 @@ def grid_steps(span: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise ValueError(f"horizon {span} / dt {dt} is not a finite number of steps")
     steps = int(round(ratio))
+    if steps < 1:
+        raise ValueError(f"horizon {span} is shorter than one step dt {dt}")
     if abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"horizon {span} is not a multiple of dt {dt}")
     return steps
@@ -364,8 +366,6 @@ def simulate_truth_and_observations(
     :class:`ObservationPath` with ``Delta Z_k = h(X_k) dt + sigma_w dW_k``.
     """
     num_steps = grid_steps(horizon, dt)
-    if num_steps < 1:
-        raise ValueError("horizon must be at least dt")
 
     d, m = model.dim_state, model.dim_obs
     x = model.sample_prior(rng, 1)

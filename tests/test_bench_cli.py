@@ -431,7 +431,8 @@ class TestCli:
         cfg.write_text("[run]\nmethod = fpf-dm\neps = 0.1\nn = 80\ndt = 0.1\nhorizon = 0.3\n")
         assert main(["filter", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
 
-    @pytest.mark.parametrize("eps", ["banana", "0", "-0.5"])
+    @pytest.mark.parametrize("eps", ["banana", "0", "-0.5", "", "Auto", "-1", "nan", "inf",
+                                     "true", "null", "[0.1]"])
     def test_filter_bad_eps_exits_2(self, tmp_path, capsys, eps):
         out = tmp_path / "dm.csv"
         code = main(["filter", "--method", "fpf-dm", "--eps", eps, "--d", "1",
@@ -441,6 +442,33 @@ class TestCli:
         assert err.startswith("error:") and "eps" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    # Config values are parsed as JSON where they can be: 0 and -1 are
+    # numbers, true a bool, null None and [0.1] a list; the rest stay strings.
+    @pytest.mark.parametrize("eps", ["banana", "", "Auto", "0", "-1", "nan", "inf",
+                                     "true", "null", "[0.1]"])
+    def test_filter_bad_eps_in_config_exits_2(self, tmp_path, capsys, eps):
+        cfg = tmp_path / "dm.ini"
+        cfg.write_text(f"[run]\nmethod = fpf-dm\neps = {eps}\nn = 80\ndt = 0.1\nhorizon = 0.3\n")
+        out = tmp_path / "dm.csv"
+        code = main(["filter", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "eps" in err
+        assert not out.exists()
+
+    # the config value '" 2e-1 "' is the JSON string with its blanks; 3 an int
+    @pytest.mark.parametrize("flag, config", [(" 2e-1 ", '" 2e-1 "'), ("3", "3")])
+    def test_filter_numeric_eps_spellings_run(self, tmp_path, flag, config):
+        cfg = tmp_path / "dm.ini"
+        cfg.write_text(f"[run]\nmethod = fpf-dm\neps = {config}\nn = 80\ndt = 0.1\nhorizon = 0.3\n")
+        out = tmp_path / "dm.csv"
+        assert main(["filter", "--config", str(cfg), "--out", str(out)]) == 0
+        by_flag = tmp_path / "flag.csv"
+        assert main(["filter", "--method", "fpf-dm", "--eps", flag, "--n", "80", "--dt", "0.1",
+                     "--T", "0.3", "--out", str(by_flag)]) == 0
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert data == [ln for ln in by_flag.read_text().splitlines() if not ln.startswith("#")]
 
     @pytest.mark.parametrize("argv", [
         ["filter", "--n", "1"],
@@ -465,6 +493,10 @@ class TestCli:
          "--n-list", "200", "--reps", "400", "--dt", "0.6"],
         ["bench", "--experiment", "dual-enkf", "--d-list", "2", "--n-list", "2",
          "--reps", "1", "--T", "0.1"],
+        # fewer than one step: used to run no step and write one row at t = 0
+        ["lqr-solve", "--d", "2", "--n", "10", "--T", "1e-10"],
+        # 1e15 whole steps: the 7 PiB path is refused at once, nothing is allocated
+        ["filter", "--method", "kalman", "--T", "1e15", "--dt", "1"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"

@@ -5,16 +5,9 @@ import pytest
 
 from cips.core import RngStream, empirical_moments
 from cips.exceptions import ConfigError, FilterDivergenceError
-from cips.fpf import (
-    ConstantGainMethod,
-    DiffusionMapGainMethod,
-    Ensemble,
-    GalerkinGainMethod,
-    fpf_estimate,
-    fpf_step,
-    run_filter,
-)
-from cips.gain import GainField, constant_gain, coordinate_basis
+from cips.cli import _bandwidth
+from cips.fpf import Ensemble, fpf_estimate, fpf_step, run_filter
+from cips.gain import GainField, constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import LinearVariant, linear_enkf_step
 from cips.models import (
@@ -33,6 +26,10 @@ def fpf_from_prior(model, obs, num_particles, gain_method, rng):
     """The FPF along ``obs`` from an i.i.d. prior ensemble drawn from ``rng``."""
     start = Ensemble(model.sample_prior(rng, num_particles), time=obs.t0)
     return run_filter(model, obs, start, partial(fpf_step, gain_method=gain_method), rng)
+
+
+def auto_dm_gain(particles, h_values):
+    return diffusion_map_gain(particles, h_values, "auto")[0]
 
 
 def bimodal_static_model(sigma_w):
@@ -73,7 +70,7 @@ class TestFpfStep:
         x = rng.standard_normal((64, 2))
         dz = np.array([0.17])
         dt = 0.05
-        stepped = fpf_step(Ensemble(x), dz, dt, model, ConstantGainMethod(), rng.substream(1))
+        stepped = fpf_step(Ensemble(x), dz, dt, model, constant_gain, rng.substream(1))
 
         gain = constant_gain(x, x @ H.T).values        # d x m, 1/N-normalized
         innovation = dz - 0.5 * (x @ H.T + (x @ H.T).mean(axis=0)) * dt
@@ -87,14 +84,14 @@ class TestFpfStep:
         x = np.array([[-1.0], [0.0], [1.0]])
         dt = 0.1
         dz = np.zeros(1)  # equals (h(0) + mean h) / 2 * dt for the middle one
-        out = fpf_step(Ensemble(x), dz, dt, model, ConstantGainMethod(), RngStream(0))
+        out = fpf_step(Ensemble(x), dz, dt, model, constant_gain, RngStream(0))
         assert out.particles[1, 0] == 0.0
 
     def test_static_benchmark_matches_posterior_mean(self):
         model = make_static_param(1, 1.0, 1.0)
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
-        run = fpf_from_prior(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
+        run = fpf_from_prior(model, obs, 10_000, constant_gain, rng.substream(1))
         z1 = obs.cumulative()[-1]
         target, _ = static_posterior(1.0, 1.0, z1)
         assert abs(run.means[-1][0] - target[0]) <= 3.0 / np.sqrt(10_000)
@@ -121,7 +118,7 @@ class TestFpfStep:
     def test_rejects_bad_observation_shape(self):
         model = make_static_param(2, 1.0, 1.0)
         with pytest.raises(ValueError):
-            fpf_step(Ensemble(np.zeros((4, 2))), np.zeros(1), 0.1, model, ConstantGainMethod(), RngStream(0))
+            fpf_step(Ensemble(np.zeros((4, 2))), np.zeros(1), 0.1, model, constant_gain, RngStream(0))
 
 
 class TestFpfEstimate:
@@ -144,7 +141,7 @@ class TestRunFpf:
         model = make_static_param(1, 1.0, 1.0)
         obs = ObservationPath(dt=0.1, increments=np.zeros((0, 1)))
         rng = RngStream(5)
-        run = fpf_from_prior(model, obs, 100, ConstantGainMethod(), rng)
+        run = fpf_from_prior(model, obs, 100, constant_gain, rng)
         prior = model.sample_prior(RngStream(5), 100)
         assert np.array_equal(run.ensemble.particles, prior)
         assert run.means.shape == (1, 1)
@@ -156,7 +153,7 @@ class TestRunFpf:
         rng = RngStream(71)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
         oracle = kalman_bucy_run(model, obs)
-        run = fpf_from_prior(model, obs, 10_000, ConstantGainMethod(), rng.substream(1))
+        run = fpf_from_prior(model, obs, 10_000, constant_gain, rng.substream(1))
         se = np.sqrt(np.diag(oracle.terminal.cov) / 10_000)
         assert np.all(np.abs(run.means[-1] - oracle.terminal.mean) <= 3 * se)
 
@@ -164,15 +161,15 @@ class TestRunFpf:
         model = make_static_param(2, 1.0, 1.0)
         rng = RngStream(13)
         _, obs = simulate_truth_and_observations(model, 0.05, 0.5, rng.substream(0))
-        run_a = fpf_from_prior(model, obs, 200, ConstantGainMethod(), rng.substream(1))
-        run_b = fpf_from_prior(model, obs, 200, GalerkinGainMethod(coordinate_basis(2)), rng.substream(1))
+        run_a = fpf_from_prior(model, obs, 200, constant_gain, rng.substream(1))
+        run_b = fpf_from_prior(model, obs, 200, partial(galerkin_gain, basis=coordinate_basis(2)), rng.substream(1))
         assert np.abs(run_a.means - run_b.means).max() <= 1e-10
 
     def test_seed_determinism(self):
         model = make_static_param(1, 1.0, 1.0)
         _, obs = simulate_truth_and_observations(model, 0.05, 0.5, RngStream(1))
-        a = fpf_from_prior(model, obs, 128, ConstantGainMethod(), RngStream(2))
-        b = fpf_from_prior(model, obs, 128, ConstantGainMethod(), RngStream(2))
+        a = fpf_from_prior(model, obs, 128, constant_gain, RngStream(2))
+        b = fpf_from_prior(model, obs, 128, constant_gain, RngStream(2))
         assert np.array_equal(a.ensemble.particles, b.ensemble.particles)
 
     def test_uninformative_observation_preserves_bimodality(self):
@@ -181,7 +178,7 @@ class TestRunFpf:
         model, dens = bimodal_static_model(10.0)
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(5))
-        run = fpf_from_prior(model, obs, 1000, DiffusionMapGainMethod("auto"), rng.substream(6))
+        run = fpf_from_prior(model, obs, 1000, auto_dm_gain, rng.substream(6))
         x = np.sort(run.ensemble.particles[:, 0])
 
         z1 = obs.cumulative()[-1][0]
@@ -305,25 +302,17 @@ class TestRunFilter:
         assert np.abs(x_fpf - x_enkf).max() <= 1e-12 * np.abs(x_enkf).max()
 
 
-def test_diffusion_map_gain_method_warm_start_state():
-    method = DiffusionMapGainMethod(eps=0.2)
-    dens = make_bimodal(0.2)
-    x = dens.sample(RngStream(3), 100)[:, None]
-    method(x, x[:, 0])
-    assert method._phi_prev is not None
-    method.reset()
-    assert method._phi_prev is None
-
-
+# The bandwidth of the fpf-dm method is cast with the other options of
+# ``cips filter``; the gain function then takes it as given.
 @pytest.mark.parametrize("spec, expected", [
     ("auto", "auto"), (0.1, 0.1), ("0.1", 0.1), (" 2e-1 ", 0.2), (3, 3.0),
 ])
 def test_diffusion_map_gain_method_normalises_eps(spec, expected):
-    assert DiffusionMapGainMethod(eps=spec).eps == expected
+    assert _bandwidth(spec) == expected
 
 
 @pytest.mark.parametrize("spec", ["banana", "", "Auto", 0.0, -0.1, "-1", "nan", "inf",
                                   True, None, [0.1]])
 def test_diffusion_map_gain_method_rejects_bad_eps(spec):
     with pytest.raises(ConfigError, match="eps"):
-        DiffusionMapGainMethod(eps=spec)
+        _bandwidth(spec)

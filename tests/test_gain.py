@@ -8,8 +8,7 @@ from cips.core import RngStream
 from cips.exceptions import GainSolveError
 from cips.gain import (
     BasisSet,
-    _as_obs_matrix,
-    _as_particle_matrix,
+    _as_matrix,
     auto_bandwidth,
     constant_gain,
     coordinate_basis,
@@ -57,7 +56,7 @@ def poisson_bvp_gain_1d(density, h, grid):
     return np.gradient(phi, grid)
 
 
-def dense_diffusion_map_gain(particles, h_values, eps, num_sweeps=None, phi_prev=None):
+def dense_diffusion_map_gain(particles, h_values, eps):
     """Reference: the diffusion-map gain with one N x N array per stage.
 
     The arithmetic of ``diffusion_map_gain`` written directly: d2, g, k, T,
@@ -65,10 +64,9 @@ def dense_diffusion_map_gain(particles, h_values, eps, num_sweeps=None, phi_prev
     median reads the upper triangle through ``np.triu_indices`` and the gain
     is read off with a three-operand einsum.  Returns (gains, eps, phi, T, pi).
     """
-    x = _as_particle_matrix(particles)
-    h = _as_obs_matrix(h_values)
-    n, d = x.shape
-    m = h.shape[1]
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
+    n = x.shape[0]
     auto = isinstance(eps, str)
 
     def median_bandwidth(d2):
@@ -100,20 +98,19 @@ def dense_diffusion_map_gain(particles, h_values, eps, num_sweeps=None, phi_prev
 
     hbar = pi @ h
     rhs = eps * (h - hbar)
-    phi = np.zeros((n, m)) if phi_prev is None else np.array(phi_prev, dtype=float).reshape(n, m)
-    if num_sweeps is not None:
-        for _ in range(num_sweeps):
-            phi = T @ phi + rhs
-    else:
-        pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
-        phi = np.linalg.solve(pinned, rhs + np.outer(np.ones(n), pi @ phi))
+    pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
+    phi = np.linalg.solve(pinned, rhs)
+    return dense_readout(T, phi, eps, h, x), eps, phi, T, pi
 
-    r = phi + eps * h
+
+def dense_readout(T, phi, eps, h, x):
+    """K^i = sum_j s_ij X^j with s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps), r = Phi + eps h."""
+    r = phi + eps * _as_matrix(h)
+    x = _as_matrix(x)
     Tr = T @ r
     TrX = np.einsum("ij,jm,jd->idm", T, r, x)
     TX = T @ x
-    values = (TrX - np.einsum("im,id->idm", Tr, TX)) / (2.0 * eps)
-    return values, eps, phi, T, pi
+    return (TrX - np.einsum("im,id->idm", Tr, TX)) / (2.0 * eps)
 
 
 def readout_scale(T, phi, eps, h, x):
@@ -122,21 +119,21 @@ def readout_scale(T, phi, eps, h, x):
     The gain is the difference of two sums of this size, so rounding in the
     readout is of order 1e-16 times this scale, whatever the gain's own size.
     """
-    r = np.abs(phi + eps * _as_obs_matrix(h))
-    return np.einsum("ij,jm,jd->idm", T, r, np.abs(_as_particle_matrix(x))).max() / (2.0 * eps)
+    r = np.abs(phi + eps * _as_matrix(h))
+    return np.einsum("ij,jm,jd->idm", T, r, np.abs(_as_matrix(x))).max() / (2.0 * eps)
 
 
-def assert_matches_dense(x, h, eps, num_sweeps=None, phi_prev=None):
+def assert_matches_dense(x, h, eps):
     """The lean gain against the dense reference: eps, phi, T and pi bitwise,
     the gains to 1e-12 relative to max|K| (see the comment below)."""
     try:
-        K, eps_ref, phi, T, pi = dense_diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+        K, eps_ref, phi, T, pi = dense_diffusion_map_gain(x, h, eps)
     except GainSolveError as err:
         with pytest.raises(GainSolveError) as lean_err:
-            diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+            diffusion_map_gain(x, h, eps)
         assert str(lean_err.value) == str(err)
         return
-    field, state = diffusion_map_gain(x, h, eps, num_sweeps, phi_prev)
+    field, state = diffusion_map_gain(x, h, eps)
     assert state.eps == eps_ref
     np.testing.assert_array_equal(state.phi, phi)
     np.testing.assert_array_equal(state.transition, T)
@@ -257,7 +254,7 @@ class TestVariationalGain:
 class TestDiffusionMapGain:
     def test_two_identical_particles(self):
         x = np.array([0.7, 0.7])
-        field, state = diffusion_map_gain(x, x, eps=0.5, num_sweeps=3)
+        field, state = diffusion_map_gain(x, x, eps=0.5)
         assert np.allclose(state.transition, 0.5)
         assert state.phi[0] == state.phi[1]
         assert np.all(np.isfinite(field.values))
@@ -277,18 +274,15 @@ class TestDiffusionMapGain:
     def test_direct_solve_equals_converged_sweeps(self):
         dens = make_bimodal(0.2)
         x = dens.sample(RngStream(7), 200)
-        direct, _ = diffusion_map_gain(x, x, 0.1)
-        swept, _ = diffusion_map_gain(x, x, 0.1, num_sweeps=4000)
-        assert np.abs(direct.values - swept.values).max() <= 1e-8
-
-    def test_warm_start_changes_phi_not_gain(self):
-        dens = make_bimodal(0.2)
-        x = dens.sample(RngStream(19), 100)
-        cold, state_cold = diffusion_map_gain(x, x, 0.2)
-        warm, state_warm = diffusion_map_gain(x, x, 0.2, phi_prev=state_cold.phi + 3.0)
-        # the fixed point shifts by a constant, the gain is unchanged
-        assert np.abs(warm.values - cold.values).max() <= 1e-9
-        assert np.abs((state_warm.phi - state_cold.phi) - 3.0).max() <= 1e-9
+        direct, state = diffusion_map_gain(x, x, 0.1)
+        # the paper's fixed-point iteration Phi <- T Phi + eps (h - hbar) from 0
+        T, pi, h = state.transition, state.stationary, x[:, None]
+        rhs = 0.1 * (h - pi @ h)
+        phi = np.zeros_like(rhs)
+        for _ in range(4000):
+            phi = T @ phi + rhs
+        swept = dense_readout(T, phi, 0.1, h, x)
+        assert np.abs(direct.values - swept).max() <= 1e-8
 
     def test_large_bandwidth_limit_is_constant_gain(self):
         dens = make_bimodal(0.2)
@@ -338,16 +332,13 @@ class TestDiffusionMapGain:
         d=st.integers(1, 4),
         m=st.integers(1, 2),
         eps=st.one_of(st.just("auto"), st.floats(0.05, 2.0)),
-        num_sweeps=st.one_of(st.none(), st.integers(1, 5)),
-        warm=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_reference(self, n, d, m, eps, num_sweeps, warm, seed):
+    def test_matches_dense_reference(self, n, d, m, eps, seed):
         rng = RngStream(seed)
         x = rng.standard_normal((n, d))
         h = np.sin(x[:, :1] * np.arange(1, m + 1)) + x[:, -1:]
-        phi_prev = rng.standard_normal((n, m)) if warm else None
-        assert_matches_dense(x, h, eps, num_sweeps, phi_prev)
+        assert_matches_dense(x, h, eps)
 
     def test_matches_dense_reference_n2000(self):
         x = RngStream(20).standard_normal((2000, 2))

@@ -214,6 +214,8 @@ class TestGridSteps:
         (10.0, 1e-320, "finite"),
         (float("inf"), 0.02, "finite"),
         (float("nan"), 0.02, "finite"),
+        (1e-10, 0.02, "shorter than one step"),
+        (0.0, 0.02, "shorter than one step"),
     ])
     def test_rejects_bad_steps(self, span, dt, match):
         with pytest.raises(ValueError, match=match):
