@@ -103,8 +103,8 @@ class RunConfig:
             raise ConfigError("n_list must contain integers >= 2")
         if not self.d_list or any(int(d) < 1 for d in self.d_list):
             raise ConfigError("d_list must contain integers >= 1")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive")
+        if not all(np.isfinite(e) and e > 0 for e in self.eps_list):
+            raise ConfigError("eps values must be positive and finite")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ConfigError("need dt > 0 and horizon >= dt")
         # the FPF cells of mse-levelsets step to the posterior at t = 1
@@ -120,8 +120,9 @@ class RunConfig:
             raise ConfigError(
                 f"N={n_min}: need more than d={d_max} particles for a nonsingular empirical covariance"
             )
-        if self.sigma0 <= 0 or self.sigma_w <= 0 or self.bimodal_sigma2 <= 0:
-            raise ConfigError("scale parameters must be positive")
+        scales = (self.sigma0, self.sigma_w, self.bimodal_sigma2)
+        if not all(np.isfinite(v) and v > 0 for v in scales):
+            raise ConfigError("scale parameters must be positive and finite")
         for m in self.methods:
             if m not in ("pf", "pf-modified", "fpf"):
                 raise ConfigError(f"unknown method {m!r}")

@@ -38,7 +38,7 @@ from .exceptions import ConfigError, NumericError
 from .fpf import Ensemble, fpf_step, run_filter
 from .gain import constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from .kalman import kalman_bucy_run
-from .linear_ensemble import LinearVariant, linear_enkf_step
+from .linear_ensemble import linear_enkf_step
 from .models import (
     make_linear_gaussian,
     make_lq_canonical,
@@ -150,6 +150,8 @@ def _matrix(value, name: str) -> np.ndarray:
         arr = np.array(json.loads(value) if isinstance(value, str) else value, dtype=float)
     except (TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse {name} as a JSON array: {value!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} has nonfinite entries: {value!r}")
     return arr
 
 
@@ -231,7 +233,7 @@ def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
         return uniform_weighted(prior), bootstrap_pf_step
     start = Ensemble(prior, time=t0)
     if method in ENKF_VARIANTS:
-        return start, partial(linear_enkf_step, variant=LinearVariant(ENKF_VARIANTS[method]))
+        return start, partial(linear_enkf_step, variant=ENKF_VARIANTS[method])
     if method == "fpf-const":
         gain_method = constant_gain
     elif method == "fpf-galerkin":
@@ -327,7 +329,9 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
             raise ConfigError(f"oracle_only must be true or false, got {oracle_only!r}")
         rng = RngStream(seed)
         lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=horizon)
-        run = run_dual_enkf(lq, n, dt, rng.substream(1), oracle_only=oracle_only)
+        if oracle_only:
+            lq = replace(lq, A=None, B=None, C=None)
+        run = run_dual_enkf(lq, n, dt, rng.substream(1))
 
     m = lq.dim_input
     gain_cols = ("t",) + tuple(f"k_{i}_{j}" for i in range(m) for j in range(d))
@@ -366,24 +370,25 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     missing = [k for k in required if opts.get(k) is None]
     if missing:
         raise ConfigError(f"static-update requires {missing}")
-    y = np.atleast_1d(_matrix(opts["y"], "y"))
-    cov_x = np.atleast_2d(_matrix(opts["cov_x"], "cov_x"))
-    cov_y = np.atleast_2d(_matrix(opts["cov_y"], "cov_y"))
-    cov_xy = np.atleast_2d(_matrix(opts["cov_xy"], "cov_xy"))
-    d, m = cov_x.shape[0], cov_y.shape[0]
-    mean_x = np.atleast_1d(_matrix(opts.get("mean_x", [0.0] * d), "mean_x"))
-    mean_y = np.atleast_1d(_matrix(opts.get("mean_y", [0.0] * m), "mean_y"))
-    jg = JointGaussian(mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_xy=cov_xy, cov_y=cov_y)
+    with _setup_errors():
+        y = np.atleast_1d(_matrix(opts["y"], "y"))
+        cov_x = np.atleast_2d(_matrix(opts["cov_x"], "cov_x"))
+        cov_y = np.atleast_2d(_matrix(opts["cov_y"], "cov_y"))
+        cov_xy = np.atleast_2d(_matrix(opts["cov_xy"], "cov_xy"))
+        d, m = cov_x.shape[0], cov_y.shape[0]
+        mean_x = np.atleast_1d(_matrix(opts.get("mean_x", [0.0] * d), "mean_x"))
+        mean_y = np.atleast_1d(_matrix(opts.get("mean_y", [0.0] * m), "mean_y"))
+        jg = JointGaussian(mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_xy=cov_xy, cov_y=cov_y)
 
-    samples = _option(opts, "samples", 0, int)
-    method = str(opts.get("method", "ot"))
-    if samples > 0:
-        if not args.sample_out:
-            raise ConfigError("--samples requires --sample-out")
-        if method not in ("ot", "perturbed"):
-            raise ConfigError(f"unknown static-update method {method!r}")
+        samples = _option(opts, "samples", 0, int)
+        method = str(opts.get("method", "ot"))
+        if samples > 0:
+            if not args.sample_out:
+                raise ConfigError("--samples requires --sample-out")
+            if method not in ("ot", "perturbed"):
+                raise ConfigError(f"unknown static-update method {method!r}")
+        mean, cov = blue_update(jg, y)
 
-    mean, cov = blue_update(jg, y)
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
     seed = _option(opts, "seed", 0, int)

@@ -8,8 +8,11 @@ as (S^(N))^{-1} and the LQR gain as -R^{-1} B^T (S^(N))^{-1}: one d x d
 solve per step, in a single backward pass with no Riccati solve and no
 outer iteration.
 
-Everything runs under oracle access: when the explicit (A, B, C) matrices
-are withheld, the drift of the whole ensemble is one row-wise call of
+The ensemble is an :class:`cips.fpf.Ensemble` stepped backward in time;
+its cached moments are the mean n^(N) and the covariance S^(N).
+
+Everything runs under oracle access: when the problem withholds any of the
+matrices (A, B, C), the drift of the whole ensemble is one row-wise call of
 f(., 0) per step, and B and C come from one batched unit-vector probe of
 each oracle.
 """
@@ -17,72 +20,33 @@ each oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import RngStream, empirical_moments, solve_with_jitter
+from .core import RngStream, solve_with_jitter
 from .exceptions import FilterDivergenceError
+from .fpf import Ensemble
 from .models import LQProblem, call_rowwise, lq_matrices
-
-
-@dataclass(frozen=True)
-class DualEnsembleState:
-    """Backward ensemble at reverse time t."""
-
-    particles: np.ndarray  # (N, d)
-    time: float
-
-    def __post_init__(self):
-        x = np.asarray(self.particles, dtype=float)
-        object.__setattr__(self, "particles", x)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("dual ensemble contains nonfinite coordinates")
-
-    @property
-    def num_particles(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.moments[0]
-
-    @cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical mean n^(N) and covariance S^(N), formed once per state."""
-        return empirical_moments(self.particles)
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.moments[1]
 
 
 class _LQOps:
     """Matrix products through explicit matrices or row-wise oracle calls."""
 
-    def __init__(self, lq: LQProblem, oracle_only: bool = False):
+    def __init__(self, lq: LQProblem):
         self.lq = lq
-        explicit = lq.A is not None and lq.B is not None and lq.C is not None
-        self._probe = oracle_only or not explicit
-        if self._probe:
-            # Column-probe recovery of B and C; the drift itself is evaluated
-            # through the oracle, one row-wise call per step.
-            self.A = None
-            _, self.B, self.C = lq_matrices(lq, oracle_only=True)
-        else:
-            self.A, self.B, self.C = lq.A, lq.B, lq.C
-        self.ctc = self.C.T @ self.C
+        _, self.B, C = lq_matrices(lq)
+        self.ctc = C.T @ C
         self.chol_R = np.linalg.cholesky(lq.R)
 
     def drift(self, states: np.ndarray) -> np.ndarray:
-        """A @ Y^i for every row of ``states``."""
-        if not self._probe:
-            return states @ self.A.T
+        """A @ Y^i for every row of ``states``; one oracle call when A is withheld."""
+        if self.lq.A is not None:
+            return states @ self.lq.A.T
         zu = np.zeros((states.shape[0], self.lq.dim_input))
         return call_rowwise("dynamics", self.lq.dynamics, states, zu, cols=self.lq.dim_state)
 
 
-def dual_enkf_init(lq: LQProblem, num_particles: int, rng: RngStream) -> DualEnsembleState:
+def dual_enkf_init(lq: LQProblem, num_particles: int, rng: RngStream) -> Ensemble:
     """Terminal ensemble: i.i.d. draws from N(0, P_T^{-1}) at reverse time T."""
     d = lq.dim_state
     if num_particles <= d:
@@ -93,16 +57,16 @@ def dual_enkf_init(lq: LQProblem, num_particles: int, rng: RngStream) -> DualEns
     z = rng.standard_normal((num_particles, d))
     # cov(L^{-T} z) = (L L^T)^{-1} = P_T^{-1}
     particles = np.linalg.solve(chol.T, z.T).T
-    return DualEnsembleState(particles=particles, time=lq.horizon)
+    return Ensemble(particles, time=lq.horizon)
 
 
 def dual_enkf_backward_step(
-    st: DualEnsembleState,
+    st: Ensemble,
     dt: float,
     lq: LQProblem,
     rng: RngStream,
     ops: _LQOps | None = None,
-) -> DualEnsembleState:
+) -> Ensemble:
     """One reverse-Euler step from t to t - dt.
 
     Y^i <- Y^i - [A Y^i + S^(N) C^T C (Y^i + n^(N)) / 2] dt - B xi^i with
@@ -110,7 +74,7 @@ def dual_enkf_backward_step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ops = ops or _LQOps(lq, oracle_only=False)
+    ops = ops or _LQOps(lq)
     y = st.particles
     n_mean, S = st.moments
 
@@ -123,27 +87,27 @@ def dual_enkf_backward_step(
         raise FilterDivergenceError(
             f"dual ensemble became nonfinite stepping to t={st.time - dt:.6g}"
         )
-    return DualEnsembleState(particles=y_new, time=st.time - dt)
+    return Ensemble(y_new, time=st.time - dt)
 
 
-def value_matrix(st: DualEnsembleState) -> np.ndarray:
+def value_matrix(st: Ensemble) -> np.ndarray:
     """Ensemble estimate P^(N) = (S^(N))^{-1} of the value matrix, symmetrised.
 
     A singular S^(N) gets one jitter retry, then raises
     ``NotPositiveDefiniteError``.
     """
-    S = st.cov
+    S = st.moments[1]
     P = solve_with_jitter(S, np.eye(S.shape[0]))
     return 0.5 * (P + P.T)
 
 
-def extract_gain(st: DualEnsembleState, lq: LQProblem, ops: _LQOps | None = None) -> np.ndarray:
+def extract_gain(st: Ensemble, lq: LQProblem, ops: _LQOps | None = None) -> np.ndarray:
     """Feedback gain -R^{-1} B^T P^(N), shape (m, d)."""
-    ops = ops or _LQOps(lq, oracle_only=False)
+    ops = ops or _LQOps(lq)
     return -np.linalg.solve(lq.R, ops.B.T @ value_matrix(st))
 
 
-def hamiltonian(st: DualEnsembleState, x: np.ndarray, alpha: np.ndarray, lq: LQProblem) -> float:
+def hamiltonian(st: Ensemble, x: np.ndarray, alpha: np.ndarray, lq: LQProblem) -> float:
     """Ensemble Hamiltonian |c(x)|^2/2 + a^T R a/2 + x^T P^(N) f(x, a)."""
     x = np.asarray(x, dtype=float)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -155,7 +119,7 @@ def hamiltonian(st: DualEnsembleState, x: np.ndarray, alpha: np.ndarray, lq: LQP
     )
 
 
-def hamiltonian_policy(st: DualEnsembleState, x: np.ndarray, lq: LQProblem) -> np.ndarray:
+def hamiltonian_policy(st: Ensemble, x: np.ndarray, lq: LQProblem) -> np.ndarray:
     """Control minimizing the ensemble Hamiltonian at state x.
 
     The Hamiltonian is quadratic in the control with known Hessian R, so
@@ -180,7 +144,7 @@ class DualEnkfRun:
     times: np.ndarray        # (K + 1,), ascending
     gains: np.ndarray        # (K + 1, m, d)
     cov_path: np.ndarray     # (K + 1, d, d) empirical S^(N)
-    final_state: DualEnsembleState
+    final_state: Ensemble
 
 
 def run_dual_enkf(
@@ -188,7 +152,6 @@ def run_dual_enkf(
     num_particles: int,
     dt: float,
     rng: RngStream,
-    oracle_only: bool = False,
 ) -> DualEnkfRun:
     """Single backward sweep from T to 0, recording S^(N) and the gain.
 
@@ -196,18 +159,18 @@ def run_dual_enkf(
     iteration to tune.
     """
     num_steps = lq.num_steps(dt)
-    ops = _LQOps(lq, oracle_only=oracle_only)
+    ops = _LQOps(lq)
 
     st = dual_enkf_init(lq, num_particles, rng)
     d, m = lq.dim_state, lq.dim_input
     covs = np.empty((num_steps + 1, d, d))
     gains = np.empty((num_steps + 1, m, d))
-    covs[num_steps] = st.cov
+    covs[num_steps] = st.moments[1]
     gains[num_steps] = extract_gain(st, lq, ops)
     for j in range(num_steps):
         st = dual_enkf_backward_step(st, dt, lq, rng, ops)
         k = num_steps - 1 - j
-        covs[k] = st.cov
+        covs[k] = st.moments[1]
         gains[k] = extract_gain(st, lq, ops)
     return DualEnkfRun(
         times=dt * np.arange(num_steps + 1), gains=gains, cov_path=covs, final_state=st,

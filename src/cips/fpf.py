@@ -123,7 +123,7 @@ class FilterRun:
     times: np.ndarray      # (K + 1,)
     means: np.ndarray      # (K + 1, d)
     covs: np.ndarray       # (K + 1, d, d)
-    ensemble: Any          # the state after the last step
+    final_state: Any       # an ensemble, or kalman_bucy_run's GaussianBelief
 
 
 def run_filter(
@@ -149,4 +149,4 @@ def run_filter(
     for k in range(K):
         state = step(state, obs.increments[k], obs.dt, model, rng=rng)
         means[k + 1], covs[k + 1] = state.moments
-    return FilterRun(times=obs.times, means=means, covs=covs, ensemble=state)
+    return FilterRun(times=obs.times, means=means, covs=covs, final_state=state)

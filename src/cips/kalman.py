@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import is_positive_definite, symmetrize
 from .exceptions import ConvergenceError, FilterDivergenceError
+from .fpf import FilterRun
 from .models import FilterModel, LQProblem, ObservationPath, lq_matrices
 
 
@@ -25,22 +26,6 @@ class GaussianBelief:
 
     mean: np.ndarray
     cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class BeliefPath:
-    """Gaussian belief on a uniform time grid."""
-
-    times: np.ndarray   # (K + 1,)
-    means: np.ndarray   # (K + 1, d)
-    covs: np.ndarray    # (K + 1, d, d)
-
-    def __getitem__(self, k: int) -> GaussianBelief:
-        return GaussianBelief(mean=self.means[k], cov=self.covs[k])
-
-    @property
-    def terminal(self) -> GaussianBelief:
-        return self[-1]
 
 
 @dataclass(frozen=True)
@@ -66,17 +51,14 @@ def filter_riccati_rhs(Sigma: np.ndarray, A: np.ndarray, H: np.ndarray,
     return A @ Sigma + Sigma @ A.T + Sigma_B - Sigma @ HtH @ Sigma
 
 
-def kalman_bucy_run(
-    model: FilterModel,
-    obs: ObservationPath,
-    belief0: GaussianBelief | None = None,
-) -> BeliefPath:
+def kalman_bucy_run(model: FilterModel, obs: ObservationPath) -> FilterRun:
     """Euler-discretized Kalman-Bucy filter along an observation path.
 
-    The mean is updated with gain K = Sigma H^T / sigma_w^2 and innovation
-    dZ - H m dt; the covariance follows the filter Riccati equation with
-    re-symmetrization each step.  Raises if the covariance loses positive
-    definiteness (too-coarse dt or an inconsistent model).
+    From the prior N(m0, Sigma0), the mean is updated with gain
+    K = Sigma H^T / sigma_w^2 and innovation dZ - H m dt; the covariance
+    follows the filter Riccati equation with re-symmetrization each step.
+    Raises if the covariance loses positive definiteness (too-coarse dt or
+    an inconsistent model).
     """
     if model.linear is None:
         raise ValueError("kalman_bucy_run requires a model with a linear descriptor")
@@ -85,10 +67,8 @@ def kalman_bucy_run(
     r = model.obs_noise_scale**2
     dt = obs.dt
 
-    if belief0 is None:
-        belief0 = GaussianBelief(mean=spec.m0, cov=spec.Sigma0)
-    m = np.asarray(belief0.mean, dtype=float).copy()
-    Sigma = symmetrize(np.asarray(belief0.cov, dtype=float))
+    m = spec.m0
+    Sigma = symmetrize(spec.Sigma0)
 
     K_steps = obs.num_steps
     d = model.dim_state
@@ -107,12 +87,13 @@ def kalman_bucy_run(
                 f"covariance lost positive definiteness at step {k + 1}"
             )
         means[k + 1], covs[k + 1] = m, Sigma
-    return BeliefPath(times=obs.times, means=means, covs=covs)
+    return FilterRun(times=obs.times, means=means, covs=covs,
+                     final_state=GaussianBelief(mean=means[-1], cov=covs[-1]))
 
 
-def riccati_weights(lq: LQProblem, oracle_only: bool = False) -> tuple[np.ndarray, ...]:
+def riccati_weights(lq: LQProblem) -> tuple[np.ndarray, ...]:
     """(A, G, Q) with G = B R^{-1} B^T and Q = C^T C, formed once per solve."""
-    A, B, C = lq_matrices(lq, oracle_only=oracle_only)
+    A, B, C = lq_matrices(lq)
     return A, B @ np.linalg.solve(lq.R, B.T), C.T @ C
 
 
@@ -152,13 +133,13 @@ def _integrate_backward(lq: LQProblem, dt: float, X_T: np.ndarray, rhs, label: s
     return RiccatiPath(times=dt * np.arange(num_steps + 1), values=values)
 
 
-def solve_dre_backward(lq: LQProblem, dt: float, oracle_only: bool = False) -> RiccatiPath:
+def solve_dre_backward(lq: LQProblem, dt: float) -> RiccatiPath:
     """Backward RK4 integration of the value Riccati equation from P_T.
 
     The returned path is indexed forward in time: ``values[k]`` is P at
     ``t = k * dt`` and ``values[-1] = P_T``.
     """
-    A, G, Q = riccati_weights(lq, oracle_only)
+    A, G, Q = riccati_weights(lq)
 
     def rhs(P):  # d P / d tau with tau = T - t
         return control_riccati_rhs(P, A, G, Q)
@@ -166,9 +147,9 @@ def solve_dre_backward(lq: LQProblem, dt: float, oracle_only: bool = False) -> R
     return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
 
 
-def solve_dual_dre(lq: LQProblem, dt: float, oracle_only: bool = False) -> RiccatiPath:
+def solve_dual_dre(lq: LQProblem, dt: float) -> RiccatiPath:
     """Backward integration of the dual Riccati equation from S_T = P_T^{-1}."""
-    A, G, Q = riccati_weights(lq, oracle_only)
+    A, G, Q = riccati_weights(lq)
 
     def rhs(S):  # d S / d tau = -(dS/dt) with tau = T - t
         return -dual_riccati_rhs(S, A, G, Q)
@@ -226,7 +207,7 @@ def _stable_graph(W: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M.T @ M, M.T @ rhs)
 
 
-def solve_are(lq: LQProblem, oracle_only: bool = False) -> np.ndarray:
+def solve_are(lq: LQProblem) -> np.ndarray:
     """Stabilizing solution of A^T P + P A + C^T C - P B R^{-1} B^T P = 0.
 
     The sign W of the Hamiltonian [[A, -G], [-C^T C, -A^T]], G = B R^{-1} B^T,
@@ -235,7 +216,7 @@ def solve_are(lq: LQProblem, oracle_only: bool = False) -> np.ndarray:
     iteration.  Raises ``ConvergenceError`` when no stabilizing solution
     exists (an unstabilizable or undetectable problem).
     """
-    A, G, Q = riccati_weights(lq, oracle_only)
+    A, G, Q = riccati_weights(lq)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             P = _stable_graph(_matrix_sign(np.block([[A, -G], [-Q, -A.T]])), A, G)
@@ -253,7 +234,7 @@ def solve_are(lq: LQProblem, oracle_only: bool = False) -> np.ndarray:
     return P
 
 
-def lqr_gain(lq: LQProblem, P: np.ndarray, oracle_only: bool = False) -> np.ndarray:
+def lqr_gain(lq: LQProblem, P: np.ndarray) -> np.ndarray:
     """Feedback gain -R^{-1} B^T P for a given value matrix P."""
-    _, B, _ = lq_matrices(lq, oracle_only=oracle_only)
+    _, B, _ = lq_matrices(lq)
     return -np.linalg.solve(lq.R, B.T @ P)

@@ -11,8 +11,6 @@ only in how much randomness the coupling injects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import RngStream, solve_with_jitter
@@ -25,39 +23,34 @@ from .models import FilterModel
 VARIANT_TAGS = ("sqrt", "perturbed", "deterministic")
 
 
-@dataclass(frozen=True)
-class LinearVariant:
-    """Tag selecting one exact linear ensemble filter."""
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANT_TAGS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANT_TAGS}")
 
-    tag: str
 
-    def __post_init__(self):
-        if self.tag not in VARIANT_TAGS:
-            raise ValueError(f"unknown variant {self.tag!r}; expected one of {VARIANT_TAGS}")
-
-    def triple(
-        self,
-        A: np.ndarray,
-        H: np.ndarray,
-        Sigma_B: np.ndarray,
-        Sigma_bar: np.ndarray,
-        obs_noise_var: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Deviation dynamics (G, sigma sigma^T, sigma' sigma'^T) for this variant."""
-        HtH = H.T @ H / obs_noise_var
-        gain_sq = Sigma_bar @ HtH @ Sigma_bar
-        if self.tag == "perturbed":
-            G = A - Sigma_bar @ HtH
-            return G, Sigma_B, gain_sq
-        if self.tag == "sqrt":
-            G = A - 0.5 * Sigma_bar @ HtH
-            return G, Sigma_B, np.zeros_like(Sigma_B)
-        G = A - 0.5 * Sigma_bar @ HtH + 0.5 * Sigma_B @ np.linalg.inv(Sigma_bar)
-        return G, np.zeros_like(Sigma_B), np.zeros_like(Sigma_B)
+def deviation_triple(
+    variant: str,
+    A: np.ndarray,
+    H: np.ndarray,
+    Sigma_B: np.ndarray,
+    Sigma_bar: np.ndarray,
+    obs_noise_var: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deviation dynamics (G, sigma sigma^T, sigma' sigma'^T) of a variant."""
+    _check_variant(variant)
+    HtH = H.T @ H / obs_noise_var
+    if variant == "perturbed":
+        G = A - Sigma_bar @ HtH
+        return G, Sigma_B, Sigma_bar @ HtH @ Sigma_bar
+    if variant == "sqrt":
+        G = A - 0.5 * Sigma_bar @ HtH
+        return G, Sigma_B, np.zeros_like(Sigma_B)
+    G = A - 0.5 * Sigma_bar @ HtH + 0.5 * Sigma_B @ np.linalg.inv(Sigma_bar)
+    return G, np.zeros_like(Sigma_B), np.zeros_like(Sigma_B)
 
 
 def consistency_residual(
-    variant: LinearVariant,
+    variant: str,
     A: np.ndarray,
     H: np.ndarray,
     Sigma_B: np.ndarray,
@@ -65,7 +58,7 @@ def consistency_residual(
     obs_noise_var: float = 1.0,
 ) -> float:
     """Frobenius residual of the consistency equation for a variant's triple."""
-    G, ssT, spspT = variant.triple(A, H, Sigma_B, Sigma_bar, obs_noise_var)
+    G, ssT, spspT = deviation_triple(variant, A, H, Sigma_B, Sigma_bar, obs_noise_var)
     lhs = G @ Sigma_bar + Sigma_bar @ G.T + ssT + spspT
     rhs = filter_riccati_rhs(Sigma_bar, A, H, Sigma_B, obs_noise_var)
     return float(np.linalg.norm(lhs - rhs, "fro"))
@@ -76,10 +69,10 @@ def linear_enkf_step(
     dz: np.ndarray,
     dt: float,
     model: FilterModel,
-    variant: LinearVariant,
+    variant: str,
     rng: RngStream,
 ) -> Ensemble:
-    """One Euler step of the selected exact linear ensemble filter.
+    """One Euler step of the exact linear ensemble filter tagged ``variant``.
 
     * ``sqrt``: symmetrized innovation dZ - H (X^i + m)/2 dt, process noise on.
     * ``perturbed``: innovation dZ - H X^i dt - dW^i with per-particle
@@ -87,6 +80,7 @@ def linear_enkf_step(
     * ``deterministic``: no sampled noise at all; the process-noise effect is
       reproduced by the drift term Sigma_B Sigma^{-1} (X^i - m) / 2.
     """
+    _check_variant(variant)
     if model.linear is None:
         raise ValueError("linear_enkf_step requires a model with a linear descriptor")
     if dt <= 0:
@@ -104,11 +98,11 @@ def linear_enkf_step(
     hx = x @ H.T                               # (N, m)
     hm = H @ mean
 
-    if variant.tag == "sqrt":
+    if variant == "sqrt":
         innovation = dz - 0.5 * (hx + hm) * dt
         db = np.sqrt(dt) * rng.standard_normal((n, sigma_B.shape[1]))
         move = db @ sigma_B.T + innovation @ gain.T
-    elif variant.tag == "perturbed":
+    elif variant == "perturbed":
         dw = np.sqrt(dt) * model.obs_noise_scale * rng.standard_normal((n, H.shape[0]))
         innovation = dz - hx * dt - dw
         db = np.sqrt(dt) * rng.standard_normal((n, sigma_B.shape[1]))

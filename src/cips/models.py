@@ -176,8 +176,8 @@ class LQProblem:
     A x + B u, and ``cost_output(x)`` maps ``(n, d)`` states to the
     ``(n, p)`` rows C x.  A single point, ``(d,)`` and ``(m,)``, works too.
     The quadratic weights R (on the input) and P_T (terminal) are known
-    matrices.  ``A``, ``B``, ``C`` may be attached for cross-checks but every
-    solver can also run purely on the oracles.
+    matrices.  ``A``, ``B``, ``C`` may be attached; a problem with any of
+    them withheld (None) is solved through the oracles alone.
     """
 
     dim_state: int
@@ -242,9 +242,9 @@ def recover_lq_matrices(lq: LQProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return A, B, C
 
 
-def lq_matrices(lq: LQProblem, oracle_only: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit matrices when attached, otherwise oracle recovery."""
-    if not oracle_only and lq.A is not None and lq.B is not None and lq.C is not None:
+def lq_matrices(lq: LQProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The attached (A, B, C), or all three recovered from the oracles when any is withheld."""
+    if lq.A is not None and lq.B is not None and lq.C is not None:
         return lq.A, lq.B, lq.C
     return recover_lq_matrices(lq)
 
@@ -277,8 +277,8 @@ def make_linear_gaussian(
         raise ValueError(f"Sigma0 has shape {Sigma0.shape}, expected ({d}, {d})")
     if not is_positive_definite(Sigma0):
         raise ValueError("Sigma0 must be symmetric positive definite")
-    if obs_noise_scale <= 0:
-        raise ValueError("obs_noise_scale must be positive")
+    if not (math.isfinite(obs_noise_scale) and obs_noise_scale > 0):
+        raise ValueError(f"obs_noise_scale must be positive and finite, got {obs_noise_scale}")
 
     spec = LinearGaussianSpec(A=A, H=H, sigma_B=sigma_B, m0=m0, Sigma0=Sigma0)
     sqrt_Sigma0 = np.linalg.cholesky(Sigma0)
@@ -328,8 +328,8 @@ def make_static_param(d: int, sigma0: float, sigma_w: float) -> FilterModel:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    if sigma0 <= 0 or sigma_w <= 0:
-        raise ValueError("sigma0 and sigma_w must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (sigma0, sigma_w)):
+        raise ValueError(f"sigma0 = {sigma0} and sigma_w = {sigma_w} must be positive and finite")
     A = np.zeros((d, d))
     H = np.eye(d)
     sigma_B = np.zeros((d, d))
@@ -349,8 +349,8 @@ def static_posterior(sigma0: float, sigma_w: float, z1: np.ndarray) -> tuple[np.
 
 def make_bimodal(sigma2: float) -> Density1D:
     """Equal-weight two-Gaussian mixture centered at -1 and +1."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     return Density1D(means=[-1.0, 1.0], variances=[sigma2, sigma2], weights=[0.5, 0.5])
 
 

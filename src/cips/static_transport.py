@@ -41,7 +41,7 @@ class JointGaussian:
         object.__setattr__(self, "cov_y", cov_y)
         d, m = mean_x.shape[0], mean_y.shape[0]
         if cov_x.shape != (d, d) or cov_y.shape != (m, m) or cov_xy.shape != (d, m):
-            raise ValueError("covariance block shapes are inconsistent")
+            raise ValueError("mean and covariance block shapes are inconsistent")
         joint = self.joint_cov()
         eigmin = np.linalg.eigvalsh(joint).min()
         if eigmin < -1e-10 * max(np.trace(joint), 1.0):
@@ -85,9 +85,11 @@ def blue_update(jg: JointGaussian, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     mean = E[X] + K (y - E[Y]) with K = cov_xy cov_y^{-1}; for a Gaussian
     joint this is the exact Bayes posterior, otherwise the best linear
-    estimator.
+    estimator.  Raises ``ValueError`` unless y has jg's observation dimension.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (jg.dim_y,):
+        raise ValueError(f"y has shape {y.shape}, expected ({jg.dim_y},) to match cov_y")
     K = jg.gain()
     mean = jg.mean_x + K @ (y - jg.mean_y)
     cov = jg.cov_x - K @ jg.cov_xy.T

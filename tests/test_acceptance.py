@@ -30,7 +30,7 @@ from cips.gain import (
     polynomial_basis_1d,
 )
 from cips.kalman import kalman_bucy_run, solve_are, solve_dre_backward, solve_dual_dre
-from cips.linear_ensemble import LinearVariant, empirical_moments, linear_enkf_step
+from cips.linear_ensemble import empirical_moments, linear_enkf_step
 from cips.models import (
     make_bimodal,
     make_linear_gaussian,
@@ -159,7 +159,7 @@ def _run_variant(model, obs, tag, n, rng):
     step = rng.substream(1)
     for k in range(obs.num_steps):
         ens = linear_enkf_step(ens, obs.increments[k], obs.dt, model,
-                               LinearVariant(tag), step)
+                               tag, step)
     return empirical_moments(ens.particles)
 
 
@@ -168,7 +168,7 @@ def test_criterion_4_linear_exactness_and_rate():
     rng = RngStream(104)
     _, obs = simulate_truth_and_observations(model, 0.01, 1.0, rng.substream(0))
     oracle = kalman_bucy_run(model, obs)
-    mT, ST = oracle.terminal.mean, oracle.terminal.cov
+    mT, ST = oracle.final_state.mean, oracle.final_state.cov
     n = 10_000
     se_mean = np.sqrt(np.diag(ST) / n)
     se_cov = np.sqrt((np.outer(np.diag(ST), np.diag(ST)) + ST**2) / n)
@@ -188,8 +188,8 @@ def test_criterion_4_linear_exactness_and_rate():
             _, obs_r = simulate_truth_and_observations(model, 0.01, 1.0, sub.substream(0))
             oracle_r = kalman_bucy_run(model, obs_r)
             mean, cov = _run_variant(model, obs_r, "sqrt", size, sub.substream(1))
-            acc.append(np.sum((mean - oracle_r.terminal.mean) ** 2)
-                       + np.sum((cov - oracle_r.terminal.cov) ** 2))
+            acc.append(np.sum((mean - oracle_r.final_state.mean) ** 2)
+                       + np.sum((cov - oracle_r.final_state.cov) ** 2))
         errs.append(np.mean(acc))
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
     assert -1.2 <= slope <= -0.8

@@ -25,7 +25,7 @@ from cips.core import RngStream
 from cips.dual_enkf import run_dual_enkf
 from cips.exceptions import ConfigError
 from cips.kalman import kalman_bucy_run
-from cips.linear_ensemble import LinearVariant, linear_enkf_step
+from cips.linear_ensemble import linear_enkf_step
 from cips.fpf import Ensemble
 from cips.models import make_static_param, simulate_truth_and_observations
 from cips.sir import modified_weights, static_is_modified
@@ -221,7 +221,7 @@ class TestStaticBenchmarkCells:
             step = sub.substream(2)
             for k in range(obs.num_steps):
                 ens = linear_enkf_step(ens, obs.increments[k], obs.dt, model,
-                                       LinearVariant("sqrt"), step)
+                                       "sqrt", step)
             z1 = obs.cumulative()[-1]
             errors[i] = (ens.particles.mean() - 0.5 * z1[0]) ** 2
         mse_loop = errors.mean()
@@ -373,8 +373,8 @@ class TestCli:
         rng = RngStream(5)
         _, obs = simulate_truth_and_observations(model, 0.1, 0.5, rng.substream(0))
         path = kalman_bucy_run(model, obs)
-        assert float(rows[-1][1]) == pytest.approx(path.terminal.mean[0], rel=1e-15)
-        assert float(rows[-1][2]) == pytest.approx(path.terminal.cov[0, 0], rel=1e-15)
+        assert float(rows[-1][1]) == pytest.approx(path.final_state.mean[0], rel=1e-15)
+        assert float(rows[-1][2]) == pytest.approx(path.final_state.cov[0, 0], rel=1e-15)
 
     @pytest.mark.parametrize("method", ["fpf-const", "fpf-galerkin", "fpf-dm",
                                         "sir", "enkf-sqrt", "enkf-perturbed", "enkf-det"])
@@ -497,6 +497,22 @@ class TestCli:
         ["lqr-solve", "--d", "2", "--n", "10", "--T", "1e-10"],
         # 1e15 whole steps: the 7 PiB path is refused at once, nothing is allocated
         ["filter", "--method", "kalman", "--T", "1e15", "--dt", "1"],
+        # nonfinite scales and bandwidths: NaN passes a "<= 0" check
+        ["gain-study", "--eps-list", "nan", "--reps", "2", "--n-list", "20"],
+        ["gain-study", "--eps-list", "inf", "--reps", "2", "--n-list", "20"],
+        ["gain-study", "--sigma2", "nan", "--eps-list", "0.1", "--reps", "2", "--n-list", "20"],
+        ["bench", "--experiment", "mse-levelsets", "--sigma-w", "nan", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        ["filter", "--method", "fpf-const", "--sigma0", "nan", "--n", "10", "--T", "0.04"],
+        # static-update vectors: wrong length or nonfinite entries
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[1,2]"],
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[NaN]"],
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[1]", "--mean-x", "[Infinity]"],
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[1]", "--mean-y", "[0, 0]"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -633,9 +649,9 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
         seen = []
 
-        def spy(*args, oracle_only):
-            seen.append(oracle_only)
-            return run_dual_enkf(*args, oracle_only=oracle_only)
+        def spy(lq, *args):
+            seen.append(lq.A is None)
+            return run_dual_enkf(lq, *args)
 
         monkeypatch.setattr(cips.cli, "run_dual_enkf", spy)
         cfg = tmp_path / "run.ini"

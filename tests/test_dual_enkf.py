@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cips.core import RngStream
 from cips.dual_enkf import (
-    DualEnsembleState,
     _LQOps,
     dual_enkf_backward_step,
     dual_enkf_init,
@@ -17,6 +16,7 @@ from cips.dual_enkf import (
     value_matrix,
 )
 from cips.exceptions import NotPositiveDefiniteError
+from cips.fpf import Ensemble
 from cips.kalman import solve_dre_backward, solve_dual_dre
 from cips.models import LQProblem, make_lq_canonical
 
@@ -44,8 +44,9 @@ class TestInit:
         lq = make_lq_canonical(2, RngStream(0))
         st = dual_enkf_init(lq, 200_000, RngStream(1))
         assert st.time == lq.horizon
-        assert np.abs(st.mean).max() <= 3.0 / np.sqrt(200_000) * 1.5
-        assert np.abs(st.cov - np.eye(2)).max() <= 0.02
+        mean, cov = st.moments
+        assert np.abs(mean).max() <= 3.0 / np.sqrt(200_000) * 1.5
+        assert np.abs(cov - np.eye(2)).max() <= 0.02
 
     def test_terminal_covariance_is_inverse_weight(self):
         lq = make_lq_canonical(2, RngStream(0))
@@ -53,13 +54,13 @@ class TestInit:
         st = dual_enkf_init(lq, 100_000, RngStream(2))
         target = np.diag([0.25, 4.0])
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / 100_000)
-        assert np.all(np.abs(st.cov - target) <= 3 * se)
+        assert np.all(np.abs(st.moments[1] - target) <= 3 * se)
 
     def test_scalar_quarter_variance(self):
         lq = scalar_unit_lq()
         lq = replace(lq, P_T=np.array([[4.0]]))
         st = dual_enkf_init(lq, 50_000, RngStream(3))
-        assert st.cov[0, 0] == pytest.approx(0.25, rel=0.05)
+        assert st.moments[1][0, 0] == pytest.approx(0.25, rel=0.05)
 
 
 class TestBackwardStep:
@@ -154,16 +155,27 @@ class TestRunDualEnkf:
 
     def test_oracle_only_matches_explicit(self):
         # the row-wise drift x @ A.T + 0 @ B.T is bitwise the explicit drift,
-        # and the probes recover B and C exactly
-        lq = make_lq_canonical(3, RngStream(8))
-        a = run_dual_enkf(lq, 200, 0.02, RngStream(55))
-        b = run_dual_enkf(lq, 200, 0.02, RngStream(55), oracle_only=True)
-        np.testing.assert_array_equal(a.cov_path, b.cov_path)
-        np.testing.assert_array_equal(a.gains, b.gains)
-        stripped = replace(lq, A=None, B=None, C=None)
-        c = run_dual_enkf(stripped, 200, 0.02, RngStream(55))
-        np.testing.assert_array_equal(a.cov_path, c.cov_path)
-        np.testing.assert_array_equal(a.gains, c.gains)
+        # and the probes recover B and C exactly: withholding the matrices
+        # changes no bit, on the canonical problem and on random ones with
+        # m > 1 and p != d
+        problems = [make_lq_canonical(3, RngStream(8))]
+        gen = np.random.default_rng(8)
+        for d, m, p in [(1, 2, 1), (2, 3, 1), (3, 2, 4), (4, 3, 2)]:
+            A, B, C = (gen.uniform(-1.0, 1.0, shape) for shape in [(d, d), (d, m), (p, d)])
+            L = gen.uniform(-0.5, 0.5, (m, m))
+            problems.append(LQProblem(
+                dim_state=d, dim_input=m,
+                dynamics=lambda x, u, A=A, B=B: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
+                cost_output=lambda x, C=C: np.asarray(x) @ C.T,
+                R=L @ L.T + 0.5 * np.eye(m), P_T=np.eye(d), horizon=1.0, A=A, B=B, C=C,
+            ))
+        for lq in problems:
+            a = run_dual_enkf(lq, 200, 0.02, RngStream(55))
+            withheld = replace(lq, A=None, B=None, C=None)
+            b = run_dual_enkf(withheld, 200, 0.02, RngStream(55))
+            np.testing.assert_array_equal(a.cov_path, b.cov_path)
+            np.testing.assert_array_equal(a.gains, b.gains)
+            np.testing.assert_array_equal(a.final_state.particles, b.final_state.particles)
 
     def test_oracle_only_calls_dynamics_once_per_step(self):
         lq = make_lq_canonical(2, RngStream(9))
@@ -174,7 +186,8 @@ class TestRunDualEnkf:
             calls.append(np.shape(x))
             return lq.dynamics(x, u)
 
-        run_dual_enkf(replace(lq, dynamics=counted), 100, 0.02, RngStream(10), oracle_only=True)
+        withheld = replace(lq, dynamics=counted, A=None, B=None, C=None)
+        run_dual_enkf(withheld, 100, 0.02, RngStream(10))
         # one batched probe for B, then one (N, d) drift call per step
         assert len(calls) == 1 + 10
         assert calls[1:] == [(100, 2)] * 10
@@ -193,8 +206,8 @@ class TestRunDualEnkf:
 
     def test_drift_checks_oracle_shape(self):
         lq = make_lq_canonical(2, RngStream(4))
-        ops = _LQOps(lq, oracle_only=True)
-        ops.lq = replace(lq, dynamics=lambda x, u: lq.dynamics(x, u)[:-1])
+        ops = _LQOps(replace(lq, A=None, B=None, C=None))
+        ops.lq = replace(ops.lq, dynamics=lambda x, u: lq.dynamics(x, u)[:-1])
         with pytest.raises(ValueError, match=r"dynamics oracle returned shape \(49, 2\) "
                                              r"for inputs of shape \(50, 2\), \(50, 1\)"):
             ops.drift(np.ones((50, 2)))
@@ -219,7 +232,7 @@ class TestRunDualEnkf:
             vals = []
             for rep in range(12):
                 run = run_dual_enkf(lq, n, 0.05, RngStream(60).substream(n).substream(rep))
-                vals.append(np.linalg.norm(run.final_state.mean))
+                vals.append(np.linalg.norm(run.final_state.moments[0]))
             norms[n] = np.mean(vals)
         assert norms[1600] < norms[400] < norms[100]
         assert norms[1600] < 3.0 / np.sqrt(1600) * 2.0
@@ -277,6 +290,6 @@ def test_value_matrix_is_inverse_covariance(d, m, extra, steps, seed):
 
 def test_value_matrix_singular_covariance_raises():
     # identical particles: S = 0, and the jitter retry (scaled by tr S) is 0 too
-    ens = DualEnsembleState(particles=np.ones((5, 2)), time=0.0)
+    ens = Ensemble(np.ones((5, 2)))
     with pytest.raises(NotPositiveDefiniteError):
         value_matrix(ens)

@@ -9,7 +9,7 @@ from cips.cli import _bandwidth
 from cips.fpf import Ensemble, fpf_estimate, fpf_step, run_filter
 from cips.gain import GainField, constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from cips.kalman import kalman_bucy_run
-from cips.linear_ensemble import LinearVariant, linear_enkf_step
+from cips.linear_ensemble import linear_enkf_step
 from cips.models import (
     FilterModel,
     ObservationPath,
@@ -143,7 +143,7 @@ class TestRunFpf:
         rng = RngStream(5)
         run = fpf_from_prior(model, obs, 100, constant_gain, rng)
         prior = model.sample_prior(RngStream(5), 100)
-        assert np.array_equal(run.ensemble.particles, prior)
+        assert np.array_equal(run.final_state.particles, prior)
         assert run.means.shape == (1, 1)
 
     def test_linear_gaussian_matches_kalman_oracle(self):
@@ -154,8 +154,8 @@ class TestRunFpf:
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
         oracle = kalman_bucy_run(model, obs)
         run = fpf_from_prior(model, obs, 10_000, constant_gain, rng.substream(1))
-        se = np.sqrt(np.diag(oracle.terminal.cov) / 10_000)
-        assert np.all(np.abs(run.means[-1] - oracle.terminal.mean) <= 3 * se)
+        se = np.sqrt(np.diag(oracle.final_state.cov) / 10_000)
+        assert np.all(np.abs(run.means[-1] - oracle.final_state.mean) <= 3 * se)
 
     def test_galerkin_coordinate_basis_matches_constant_gain_run(self):
         model = make_static_param(2, 1.0, 1.0)
@@ -170,7 +170,7 @@ class TestRunFpf:
         _, obs = simulate_truth_and_observations(model, 0.05, 0.5, RngStream(1))
         a = fpf_from_prior(model, obs, 128, constant_gain, RngStream(2))
         b = fpf_from_prior(model, obs, 128, constant_gain, RngStream(2))
-        assert np.array_equal(a.ensemble.particles, b.ensemble.particles)
+        assert np.array_equal(a.final_state.particles, b.final_state.particles)
 
     def test_uninformative_observation_preserves_bimodality(self):
         # sigma_w large: posterior ~= prior; the particle law must keep both
@@ -179,7 +179,7 @@ class TestRunFpf:
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(5))
         run = fpf_from_prior(model, obs, 1000, auto_dm_gain, rng.substream(6))
-        x = np.sort(run.ensemble.particles[:, 0])
+        x = np.sort(run.final_state.particles[:, 0])
 
         z1 = obs.cumulative()[-1][0]
         grid = np.linspace(-3.5, 3.5, 2001)
@@ -220,7 +220,7 @@ def reference_moments(method, model, obs, n, rng):
     """
     dt = obs.dt
     if method.startswith("enkf-"):
-        variant = LinearVariant(ENKF_TAGS[method])
+        variant = ENKF_TAGS[method]
         ens = Ensemble(model.sample_prior(rng, n), time=obs.t0)
         means = [empirical_moments(ens.particles)[0]]
         covs = [empirical_moments(ens.particles)[1]]
@@ -264,7 +264,7 @@ class TestRunFilter:
             start, step = uniform_weighted(prior), bootstrap_pf_step
         else:
             start = Ensemble(prior, time=obs.t0)
-            step = partial(linear_enkf_step, variant=LinearVariant(ENKF_TAGS[method]))
+            step = partial(linear_enkf_step, variant=ENKF_TAGS[method])
         run = run_filter(model, obs, start, step, rng)
         np.testing.assert_array_equal(run.times, obs.times)
         np.testing.assert_array_equal(run.means, ref_means)
@@ -279,7 +279,7 @@ class TestRunFilter:
         model = make_linear_gaussian(**README_LINEAR)
         _, obs = simulate_truth_and_observations(model, 0.02, 0.2, RngStream(1))
         start = Ensemble(model.sample_prior(RngStream(2), 30))
-        run_filter(model, obs, start, partial(linear_enkf_step, variant=LinearVariant("sqrt")),
+        run_filter(model, obs, start, partial(linear_enkf_step, variant="sqrt"),
                    RngStream(3))
         assert len(calls) == obs.num_steps + 1
 
@@ -295,9 +295,9 @@ class TestRunFilter:
         start = Ensemble(model.sample_prior(RngStream(10), 200))
         fpf = run_filter(model, obs, start, partial(fpf_step, gain_method=unbiased_constant_gain),
                          RngStream(11))
-        enkf = run_filter(model, obs, start, partial(linear_enkf_step, variant=LinearVariant("sqrt")),
+        enkf = run_filter(model, obs, start, partial(linear_enkf_step, variant="sqrt"),
                           RngStream(11))
-        x_fpf, x_enkf = fpf.ensemble.particles, enkf.ensemble.particles
+        x_fpf, x_enkf = fpf.final_state.particles, enkf.final_state.particles
         assert not np.array_equal(x_enkf, start.particles)
         assert np.abs(x_fpf - x_enkf).max() <= 1e-12 * np.abs(x_enkf).max()
 

@@ -56,8 +56,8 @@ class TestKalmanBucy:
         dt = 1e-4
         obs = ObservationPath(dt=dt, increments=np.full((int(1 / dt), 1), dt))
         path = kalman_bucy_run(model, obs)
-        assert path.terminal.mean[0] == pytest.approx(0.5, abs=1e-3)
-        assert path.terminal.cov[0, 0] == pytest.approx(0.5, abs=1e-3)
+        assert path.final_state.mean[0] == pytest.approx(0.5, abs=1e-3)
+        assert path.final_state.cov[0, 0] == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_observation_matrix_reduces_to_moment_odes(self):
         # H = 0: gain vanishes, moments follow dm = Am dt, dS = 2aS + q dt
@@ -69,8 +69,8 @@ class TestKalmanBucy:
         t = 1.0
         mean_exact = 2.0 * np.exp(a * t)
         var_exact = -q / (2 * a) + (1.0 + q / (2 * a)) * np.exp(2 * a * t)
-        assert path.terminal.mean[0] == pytest.approx(mean_exact, rel=1e-3)
-        assert path.terminal.cov[0, 0] == pytest.approx(var_exact, rel=1e-3)
+        assert path.final_state.mean[0] == pytest.approx(mean_exact, rel=1e-3)
+        assert path.final_state.cov[0, 0] == pytest.approx(var_exact, rel=1e-3)
 
     def test_scalar_riccati_closed_form(self):
         # A=0, H=1, sigma_B=0, Sigma_0=1: Sigma_t = 1/(1+t)
@@ -129,18 +129,34 @@ class TestValueRiccati:
                 solve(lq, dt=0.3)
 
     def test_oracle_only_matches_explicit(self):
-        lq = make_lq_canonical(3, RngStream(2))
-        a = solve_dre_backward(lq, dt=0.02)
-        b = solve_dre_backward(lq, dt=0.02, oracle_only=True)
-        assert np.abs(a.values - b.values).max() <= 1e-12
+        # withholding A, B and C solves through the oracles; the unit-vector
+        # probes recover the matrices exactly, so every solver agrees bitwise,
+        # on the canonical problem and on random ones with m > 1 and p != d
+        problems = [make_lq_canonical(3, RngStream(2))]
+        gen = np.random.default_rng(2)
+        for d, m, p in [(1, 2, 1), (2, 3, 1), (3, 2, 4), (4, 3, 2), (5, 2, 5)]:
+            L = gen.uniform(-0.5, 0.5, (m, m))
+            problems.append(lq_from_matrices(
+                gen.uniform(-1.0, 1.0, (d, d)), gen.uniform(-1.0, 1.0, (d, m)),
+                gen.uniform(-1.0, 1.0, (p, d)), R=L @ L.T + 0.5 * np.eye(m), horizon=0.4))
+        for lq in problems:
+            withheld = replace(lq, A=None, B=None, C=None)
+            for solve in (solve_dre_backward, solve_dual_dre):
+                np.testing.assert_array_equal(solve(lq, 0.02).values,
+                                              solve(withheld, 0.02).values)
+            P = solve_are(lq)
+            np.testing.assert_array_equal(P, solve_are(withheld))
+            np.testing.assert_array_equal(lqr_gain(lq, P), lqr_gain(withheld, P))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    @pytest.mark.parametrize("oracle_only", [False, True])
-    def test_weights_formed_once_match_per_stage(self, d, oracle_only):
+    @pytest.mark.parametrize("withhold", [False, True])
+    def test_weights_formed_once_match_per_stage(self, d, withhold):
         # reference right-hand sides that form G = B R^{-1} B^T and Q = C^T C
         # again in every RK4 stage; forming them once must change no bit
         lq = replace(make_lq_canonical(d, RngStream(300 + d)), horizon=1.0)
         A, B, C, R = lq.A, lq.B, lq.C, lq.R
+        if withhold:
+            lq = replace(lq, A=None, B=None, C=None)
 
         def value_rhs(P):
             G = B @ np.linalg.solve(R, B.T)
@@ -152,10 +168,10 @@ class TestValueRiccati:
 
         S_T = symmetrize(np.linalg.inv(lq.P_T))
         np.testing.assert_array_equal(
-            solve_dre_backward(lq, 0.02, oracle_only=oracle_only).values,
+            solve_dre_backward(lq, 0.02).values,
             _integrate_backward(lq, 0.02, lq.P_T, value_rhs, "Riccati").values)
         np.testing.assert_array_equal(
-            solve_dual_dre(lq, 0.02, oracle_only=oracle_only).values,
+            solve_dual_dre(lq, 0.02).values,
             _integrate_backward(lq, 0.02, S_T, dual_rhs, "dual Riccati").values)
 
 

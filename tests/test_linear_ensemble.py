@@ -6,7 +6,6 @@ from cips.exceptions import NotPositiveDefiniteError
 from cips.fpf import Ensemble
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import (
-    LinearVariant,
     consistency_residual,
     empirical_moments,
     linear_enkf_step,
@@ -61,7 +60,7 @@ class TestConsistencyEquation:
             g = rng.standard_normal((3, 3))
             Sigma_bar = g @ g.T + 0.3 * np.eye(3)
             for tag in ("sqrt", "perturbed", "deterministic"):
-                resid = consistency_residual(LinearVariant(tag), A, H, Sigma_B, Sigma_bar)
+                resid = consistency_residual(tag, A, H, Sigma_B, Sigma_bar)
                 assert resid <= 1e-8
 
     def test_consistency_with_observation_noise_scale(self):
@@ -70,13 +69,17 @@ class TestConsistencyEquation:
         H = rng.standard_normal((1, 2))
         Sigma_bar = np.eye(2)
         resid = consistency_residual(
-            LinearVariant("sqrt"), A, H, 0.2 * np.eye(2), Sigma_bar, obs_noise_var=4.0
+            "sqrt", A, H, 0.2 * np.eye(2), Sigma_bar, obs_noise_var=4.0
         )
         assert resid <= 1e-8
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            LinearVariant("bogus")
+        model = make_static_param(1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            consistency_residual("bogus", np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        with pytest.raises(ValueError, match="bogus"):
+            linear_enkf_step(Ensemble(np.zeros((2, 1))), np.zeros(1), 0.1, model, "bogus",
+                             RngStream(0))
 
 
 class TestLinearEnkfStep:
@@ -86,7 +89,7 @@ class TestLinearEnkfStep:
         x = np.array([[-1.0], [0.5], [2.0]])
         dz = np.array([0.3])
         dt = 0.05
-        out = linear_enkf_step(Ensemble(x), dz, dt, model, LinearVariant("sqrt"), RngStream(0))
+        out = linear_enkf_step(Ensemble(x), dz, dt, model, "sqrt", RngStream(0))
         mean, cov = empirical_moments(x)
         expected = x + cov[0, 0] / 4.0 * (dz - 0.5 * (x + mean) * dt)
         assert np.abs(out.particles - expected).max() <= 1e-14
@@ -96,9 +99,9 @@ class TestLinearEnkfStep:
         x = RngStream(3).standard_normal((32, 1))
         for tag in ("sqrt", "perturbed", "deterministic"):
             a = linear_enkf_step(Ensemble(x), np.array([5.0]), 0.1, model,
-                                 LinearVariant(tag), RngStream(7))
+                                 tag, RngStream(7))
             b = linear_enkf_step(Ensemble(x), np.array([-5.0]), 0.1, model,
-                                 LinearVariant(tag), RngStream(7))
+                                 tag, RngStream(7))
             assert np.array_equal(a.particles, b.particles)
 
     def test_all_variants_match_kalman_oracle(self):
@@ -106,7 +109,7 @@ class TestLinearEnkfStep:
         rng = RngStream(2024)
         _, obs = simulate_truth_and_observations(model, 0.01, 1.0, rng.substream(0))
         oracle = kalman_bucy_run(model, obs)
-        mT, ST = oracle.terminal.mean, oracle.terminal.cov
+        mT, ST = oracle.final_state.mean, oracle.final_state.cov
         n = 10_000
         se_mean = np.sqrt(np.diag(ST) / n)
         se_cov = np.sqrt((np.outer(np.diag(ST), np.diag(ST)) + ST**2) / n)
@@ -116,7 +119,7 @@ class TestLinearEnkfStep:
             step_rng = rng.substream(20 + i)
             for k in range(obs.num_steps):
                 ens = linear_enkf_step(ens, obs.increments[k], obs.dt, model,
-                                       LinearVariant(tag), step_rng)
+                                       tag, step_rng)
             mean, cov = empirical_moments(ens.particles)
             results[tag] = (mean, cov)
             assert np.all(np.abs(mean - mT) <= 3 * se_mean), tag
@@ -137,7 +140,7 @@ class TestLinearEnkfStep:
         worst = 0.0
         for k in range(obs.num_steps):
             ens = linear_enkf_step(ens, obs.increments[k], obs.dt, model,
-                                   LinearVariant("deterministic"), step_rng)
+                                   "deterministic", step_rng)
             _, cov = empirical_moments(ens.particles)
             rel = np.linalg.norm(cov - oracle.covs[k + 1], "fro") / np.linalg.norm(
                 oracle.covs[k + 1], "fro")
@@ -149,7 +152,7 @@ class TestLinearEnkfStep:
         degenerate = Ensemble(np.zeros((4, 1)))
         with pytest.raises(NotPositiveDefiniteError):
             linear_enkf_step(degenerate, np.zeros(1), 0.1, model,
-                             LinearVariant("deterministic"), RngStream(0))
+                             "deterministic", RngStream(0))
 
     def test_requires_linear_descriptor(self):
         from cips.models import FilterModel
@@ -163,4 +166,4 @@ class TestLinearEnkfStep:
         )
         with pytest.raises(ValueError, match="linear descriptor"):
             linear_enkf_step(Ensemble(np.zeros((2, 1))), np.zeros(1), 0.1, model,
-                             LinearVariant("sqrt"), RngStream(0))
+                             "sqrt", RngStream(0))

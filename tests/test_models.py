@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from cips.core import RngStream
 from cips.models import (
@@ -260,10 +261,11 @@ class TestLQCanonical:
         assert np.allclose(A, lq.A, atol=1e-12)
         assert np.allclose(B, lq.B, atol=1e-12)
         assert np.allclose(C, lq.C, atol=1e-12)
-        # lq_matrices prefers the explicit matrices, falls back to probing
+        # lq_matrices prefers the explicit matrices and probes all three when
+        # any is withheld
         A2, _, _ = lq_matrices(lq)
         assert A2 is lq.A
-        A3, _, _ = lq_matrices(lq, oracle_only=True)
+        A3, _, _ = lq_matrices(replace(lq, C=None))
         assert A3 is not lq.A and np.allclose(A3, lq.A)
 
     def test_dynamics_linear_in_both_arguments(self):

@@ -149,8 +149,8 @@ class TestBootstrapFilter:
         for k in range(obs.num_steps):
             wens = bootstrap_pf_step(wens, obs.increments[k], obs.dt, model, step_rng)
         mean = wens.weights @ wens.particles
-        tol = 3 * np.sqrt(oracle.terminal.cov[0, 0] / 10_000)
-        assert abs(mean[0] - oracle.terminal.mean[0]) <= 2 * tol
+        tol = 3 * np.sqrt(oracle.final_state.cov[0, 0] / 10_000)
+        assert abs(mean[0] - oracle.final_state.mean[0]) <= 2 * tol
 
     def test_weight_collapse_raises(self):
         # |h|^2 overflows for every particle: all log-weights hit -inf
