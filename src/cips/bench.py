@@ -105,8 +105,9 @@ class RunConfig:
             raise ConfigError("d_list must contain integers >= 1")
         if not all(np.isfinite(e) and e > 0 for e in self.eps_list):
             raise ConfigError("eps values must be positive and finite")
-        if self.dt <= 0 or self.horizon < self.dt:
-            raise ConfigError("need dt > 0 and horizon >= dt")
+        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)) \
+                or self.dt <= 0 or self.horizon < self.dt:
+            raise ConfigError("need finite dt > 0 and horizon >= dt")
         # the FPF cells of mse-levelsets step to the posterior at t = 1
         span = {"mse-levelsets": 1.0, "dual-enkf": self.horizon}.get(self.experiment)
         if span is not None:

@@ -26,7 +26,8 @@ class WeightCollapseError(NumericError):
 
 
 class GainSolveError(NumericError):
-    """Gain-function approximation failed (singular system, bad bandwidth)."""
+    """Gain-function approximation failed (singular system, bad bandwidth,
+    isolated particles, a fixed-point solve that did not converge)."""
 
 
 class ConvergenceError(NumericError):

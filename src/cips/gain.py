@@ -240,6 +240,15 @@ def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
     return quad - lin
 
 
+# The diffusion-map fixed point is solved by conjugate gradients until the
+# normwise backward error falls to CG_RTOL; reaching CG_MAXITER iterations
+# first raises GainSolveError.
+CG_RTOL = 1e-14
+CG_MAXITER = 1000
+# Rows of T divided by the kernel normaliser per temporary block.
+_NORM_ROWS = 256
+
+
 @dataclass(frozen=True)
 class DiffusionMapState:
     """Markov matrix and fixed-point solution of the diffusion-map solve."""
@@ -278,6 +287,66 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
+                       eps: float) -> np.ndarray:
+    """Phi with Phi = T Phi + rhs and pi^T Phi = 0, for pi^T rhs = 0.
+
+    Preconditioned conjugate gradients on I - T written as the graph
+    Laplacian diag(off) - T_off, off_i = sum_{j != i} T_ij, in the
+    pi-weighted inner product (pi_i T_ij is symmetric, so the Laplacian is
+    self-adjoint there) with the Jacobi preconditioner diag(off).  T's
+    diagonal is zeroed in place for the solve and restored on every exit;
+    the Laplacian form never computes 1 - T_ii, which cancels at a weakly
+    connected particle.  Each iteration costs one product with T, shared by
+    the m columns; a column leaves the iteration once its normwise backward
+    error |res| / (2 max(off) |Phi| + |rhs|) (pi-norms) is at most CG_RTOL.
+    """
+    n, m = rhs.shape
+    diag_idx = np.diag_indices(n)
+    diag = T[diag_idx]
+    T[diag_idx] = 0.0
+    try:
+        off = T.sum(axis=1)[:, None]
+        norm_bound = 2.0 * float(off.max())        # >= |diag(off) - T_off|
+        phi = np.empty_like(rhs)                   # filled as columns converge
+        cols = np.arange(m)                        # columns still iterating
+        u, r = np.zeros_like(rhs), rhs.copy()
+        rhs_norm = np.sqrt(pi @ (r * r))
+        z = r / off
+        p = z
+        rz = pi @ (r * z)
+        for it in range(CG_MAXITER + 1):
+            res = np.sqrt(pi @ (r * r))
+            scale = norm_bound * np.sqrt(pi @ (u * u)) + rhs_norm
+            done = res <= CG_RTOL * scale
+            if done.any():
+                phi[:, cols[done]] = u[:, done]
+                if done.all():
+                    break
+                keep = ~done
+                cols, u, r, p = cols[keep], u[:, keep], r[:, keep], p[:, keep]
+                rz, rhs_norm = rz[keep], rhs_norm[keep]
+            if it == CG_MAXITER:
+                raise GainSolveError(
+                    f"diffusion-map fixed point did not converge at eps={eps:.3e}, "
+                    f"N={n}: backward error {float(np.max(res / scale)):.3e} after "
+                    f"{it} conjugate-gradient iterations (tolerance {CG_RTOL:.0e})"
+                )
+            q = off * p
+            q -= T @ p
+            alpha = rz / (pi @ (p * q))
+            u += alpha * p
+            r -= alpha * q
+            z = r / off
+            rz_old, rz = rz, pi @ (r * z)
+            p *= rz / rz_old
+            p += z
+    finally:
+        T[diag_idx] = diag
+    phi -= pi @ phi
+    return phi
+
+
 def diffusion_map_gain(
     particles: np.ndarray,
     h_values: np.ndarray,
@@ -291,10 +360,11 @@ def diffusion_map_gain(
 
         Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
 
-    directly: a rank-one-pinned linear solve whose solution is the limit of
-    the fixed-point sweeps Phi <- T Phi + eps (h - hbar) from Phi = 0, which
-    converge since T is a strict contraction on the mean-zero subspace.
-    Gains are read off as
+    pinned by pi^T Phi = 0, as along the sweeps Phi <- T Phi + eps (h - hbar)
+    from Phi = 0, whose limit it is.  T is reversible with respect to pi, so
+    the solve is Jacobi-preconditioned conjugate gradients on T itself
+    (``_solve_fixed_point``): one product with T per iteration and no
+    factorisation.  Gains are read off as
 
         K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
 
@@ -303,10 +373,10 @@ def diffusion_map_gain(
     fixed-point problem per component.
 
     Memory: the distances, g, k and T are built in place in one N x N
-    buffer, which ``state.transition`` holds; each step of the build adds at
-    most one N x N temporary.  The direct solve adds the pinned matrix and
-    LAPACK's LU copy of it, so a call peaks at three N x N float64 arrays:
-    T, the pinned matrix and its LU (``tracemalloc`` sees the first two).
+    buffer, which ``state.transition`` holds.  A call peaks at two N x N
+    float64 arrays while the distances are built; the normaliser is applied
+    in row blocks, and the solve holds only T and a few N x m vectors (no
+    pinned matrix, no LAPACK copy).
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
@@ -329,8 +399,8 @@ def diffusion_map_gain(
     row = T.sum(axis=1)
     # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but a row
     # whose off-diagonal mass underflows becomes an identity row of T, which
-    # silently zeroes that particle's gain (and two such rows make the pinned
-    # system singular).
+    # silently zeroes that particle's gain (and leaves the fixed point
+    # without a unique solution).
     isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
     if isolated.size:
         d2 = _pairwise_sq_dists(x)
@@ -342,22 +412,17 @@ def diffusion_map_gain(
             f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
             f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
-    norm = np.outer(row, row)
-    np.sqrt(norm, out=norm)
-    T /= norm
-    del norm                                       # before the pinned matrix
+    for lo in range(0, n, _NORM_ROWS):
+        norm = np.outer(row[lo:lo + _NORM_ROWS], row)
+        np.sqrt(norm, out=norm)
+        T[lo:lo + _NORM_ROWS] /= norm
+    del norm
     deg = T.sum(axis=1)
     T /= deg[:, None]
     pi = deg / deg.sum()
 
     hbar = pi @ h                                  # (m,)
-    rhs = eps * (h - hbar)                         # (N, m)
-    # Direct fixed point: pin the pi-average (zero along the sweeps from
-    # Phi = 0) and solve (I - T + 1 pi^T) Phi = rhs.
-    pinned = np.negative(T)
-    pinned[np.diag_indices(n)] += 1.0
-    pinned += pi
-    phi = np.linalg.solve(pinned, rhs)
+    phi = _solve_fixed_point(T, pi, eps * (h - hbar), eps)
 
     r = phi + eps * h                              # (N, m)
     # K^i = (1/2eps) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ]: the three

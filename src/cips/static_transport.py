@@ -80,6 +80,14 @@ class JointGaussian:
         return xy[:, :d], xy[:, d:]
 
 
+def _observation(y: np.ndarray, dim_y: int) -> np.ndarray:
+    """y as a float vector; ``ValueError`` unless it has length dim_y."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (dim_y,):
+        raise ValueError(f"y has shape {y.shape}, expected ({dim_y},) to match cov_y")
+    return y
+
+
 def blue_update(jg: JointGaussian, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean and covariance of X given Y = y.
 
@@ -87,9 +95,7 @@ def blue_update(jg: JointGaussian, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     joint this is the exact Bayes posterior, otherwise the best linear
     estimator.  Raises ``ValueError`` unless y has jg's observation dimension.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (jg.dim_y,):
-        raise ValueError(f"y has shape {y.shape}, expected ({jg.dim_y},) to match cov_y")
+    y = _observation(y, jg.dim_y)
     K = jg.gain()
     mean = jg.mean_x + K @ (y - jg.mean_y)
     cov = jg.cov_x - K @ jg.cov_xy.T
@@ -106,8 +112,9 @@ class AffineMap:
     mean_y: np.ndarray
 
     def __call__(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Map prior samples x0 (n, d); ``ValueError`` unless y has mean_y's length."""
         x0 = np.asarray(x0, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = _observation(y, np.size(self.mean_y))
         shift = self.gain @ (y - self.mean_y) + self.mean_x
         return (x0 - self.mean_x) @ self.matrix.T + shift
 
@@ -138,9 +145,10 @@ def perturbed_enkf_map(
 
     Draws ``size`` independent joint samples (x0, y0) and maps each to
     x0 + K (y - y0); the output is distributed as the conditional law of X
-    given Y = y when the joint is Gaussian.
+    given Y = y when the joint is Gaussian.  Raises ``ValueError`` unless y
+    has jg's observation dimension.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _observation(y, jg.dim_y)
     K = jg.gain()
     x0, y0 = jg.sample(rng, size)
     return x0 + (y - y0) @ K.T

@@ -513,6 +513,9 @@ class TestCli:
          "--y", "[1]", "--mean-x", "[Infinity]"],
         ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
          "--y", "[1]", "--mean-y", "[0, 0]"],
+        # a NaN step for an experiment that does not step: "<= 0" let it through
+        ["bench", "--experiment", "bias-variance", "--dt", "nan", "--T", "nan",
+         "--eps-list", "0.1", "--n-list", "20", "--reps", "2"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -553,8 +556,9 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
     def test_filter_dm_isolated_particle_exits_1(self, tmp_path, capsys):
         # at this seed one particle is thrown far from the rest and has no
-        # kernel mass left at t = 0.12; it used to get a silent zero gain
-        # there and, at t = 0.16, the pinned solve turned singular
+        # kernel mass left at t = 0.12; without the isolation guard it would
+        # get a silent zero gain there, and from t = 0.16 the fixed point
+        # would have no unique solution
         out = tmp_path / "dm.csv"
         code = main(["filter", "--model", "static", "--d", "2", "--method", "fpf-dm",
                      "--n", "1000", "--seed", "11", "--out", str(out)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cips import gain
 from cips.core import RngStream
 from cips.exceptions import GainSolveError
 from cips.gain import (
@@ -57,12 +58,13 @@ def poisson_bvp_gain_1d(density, h, grid):
 
 
 def dense_diffusion_map_gain(particles, h_values, eps):
-    """Reference: the diffusion-map gain with one N x N array per stage.
+    """Reference: the diffusion map with one N x N array per stage and a dense solve.
 
     The arithmetic of ``diffusion_map_gain`` written directly: d2, g, k, T,
     eye(N), outer(1, pi) and the pinned matrix are separate arrays, the
-    median reads the upper triangle through ``np.triu_indices`` and the gain
-    is read off with a three-operand einsum.  Returns (gains, eps, phi, T, pi).
+    median reads the upper triangle through ``np.triu_indices``, and the fixed
+    point is the LU solve of (I - T + 1 pi^T) Phi = rhs.  Returns
+    (eps, phi, T, pi); ``dense_readout`` reads the gain off.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
@@ -100,7 +102,7 @@ def dense_diffusion_map_gain(particles, h_values, eps):
     rhs = eps * (h - hbar)
     pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
     phi = np.linalg.solve(pinned, rhs)
-    return dense_readout(T, phi, eps, h, x), eps, phi, T, pi
+    return eps, phi, T, pi
 
 
 def dense_readout(T, phi, eps, h, x):
@@ -123,11 +125,42 @@ def readout_scale(T, phi, eps, h, x):
     return np.einsum("ij,jm,jd->idm", T, r, np.abs(_as_matrix(x))).max() / (2.0 * eps)
 
 
+def longdouble_fixed_point(particles, h_values, eps):
+    """Phi of the diffusion map built and solved in np.longdouble.
+
+    The kernel, T, pi and the right-hand side are formed in extended
+    precision from the inputs; the fixed point is refined from the float64
+    pinned LU solve with extended-precision residuals of the Laplacian form
+    diag(off) - T_off, which never subtracts T_ii from 1.
+    """
+    x = _as_matrix(particles).astype(np.longdouble)
+    h = _as_matrix(h_values).astype(np.longdouble)
+    eps = np.longdouble(eps)
+    g = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / (4 * eps))
+    row = g.sum(axis=1)
+    k = g / np.sqrt(np.outer(row, row))
+    deg = k.sum(axis=1)
+    T = k / deg[:, None]
+    pi = deg / deg.sum()
+    rhs = eps * (h - pi @ h)
+    n = T.shape[0]
+    pinned = (np.eye(n) - T + pi).astype(float)
+    np.fill_diagonal(T, 0)
+    off = T.sum(axis=1)[:, None]
+    phi = np.zeros_like(rhs)
+    for _ in range(8):
+        res = rhs - (off * phi - T @ phi)
+        phi = phi + np.linalg.solve(pinned, res.astype(float))
+        phi -= pi @ phi
+    return phi
+
+
 def assert_matches_dense(x, h, eps):
-    """The lean gain against the dense reference: eps, phi, T and pi bitwise,
-    the gains to 1e-12 relative to max|K| (see the comment below)."""
+    """The lean gain against the dense reference: eps, T and pi bitwise, phi
+    by backward error and, where it is well conditioned, against the LU
+    solve, and the readout to 1e-12 relative to max|K| (see the comments)."""
     try:
-        K, eps_ref, phi, T, pi = dense_diffusion_map_gain(x, h, eps)
+        eps_ref, phi_lu, T, pi = dense_diffusion_map_gain(x, h, eps)
     except GainSolveError as err:
         with pytest.raises(GainSolveError) as lean_err:
             diffusion_map_gain(x, h, eps)
@@ -135,15 +168,29 @@ def assert_matches_dense(x, h, eps):
         return
     field, state = diffusion_map_gain(x, h, eps)
     assert state.eps == eps_ref
-    np.testing.assert_array_equal(state.phi, phi)
     np.testing.assert_array_equal(state.transition, T)
     np.testing.assert_array_equal(state.stationary, pi)
-    # Only the order of the readout's sums changed.  Where the two sums
-    # cancel (a weakly connected particle with a large phi), the reference
-    # itself is off by about 1e-16 times the readout scale; its deviation
-    # from the lean readout was at most 2.4e-15 of that scale over 3000
-    # random inputs.  So the gate is 1e-12 relative to max|K| while the
-    # scale is at most 100 max|K|, and 1e-14 of the scale above that.
+    # phi comes from an iterative solve: it must solve the fixed point to a
+    # normwise backward error of 1e-13, and match the LU solve to 1e-11
+    # wherever the fixed point is well conditioned.  Where max|phi| exceeds
+    # 1e4 max|rhs| (a weakly connected particle), the LU's 1 - T_ii cancels
+    # and the LU is the less accurate of the two (see
+    # test_ill_conditioned_closer_to_extended_precision).
+    phi = state.phi
+    rhs = eps_ref * (_as_matrix(h) - pi @ _as_matrix(h))
+    residual = rhs - (phi - T @ phi)
+    assert np.abs(residual).max() <= 1e-13 * (2.0 * np.abs(phi).max() + np.abs(rhs).max())
+    if np.abs(phi_lu).max() <= 1e4 * np.abs(rhs).max():
+        assert np.abs(phi - phi_lu).max() <= 1e-11 * np.abs(phi_lu).max()
+    # The readout, not the solver, is checked here: the reference reads the
+    # gain off the lean phi.  Only the order of the readout's sums changed.
+    # Where the two sums cancel (a weakly connected particle with a large
+    # phi), the reference itself is off by about 1e-16 times the readout
+    # scale; its deviation from the lean readout was at most 2.4e-15 of that
+    # scale over 3000 random inputs.  So the gate is 1e-12 relative to
+    # max|K| while the scale is at most 100 max|K|, and 1e-14 of the scale
+    # above that.
+    K = dense_readout(T, phi, eps_ref, h, x)
     scale = max(np.abs(K).max(), readout_scale(T, phi, eps_ref, h, x) / 100.0)
     assert np.abs(field.values - K).max() <= 1e-12 * scale
 
@@ -298,6 +345,19 @@ class TestDiffusionMapGain:
         field, _ = diffusion_map_gain(x, h, 0.2)
         assert np.abs(field.values[:, :, 1] - 2.0 * field.values[:, :, 0]).max() <= 1e-12
 
+    @pytest.mark.parametrize("const", [0.0, 7.1])
+    def test_constant_component_leaves_the_solve_first(self, const):
+        # the constant column converges at once and leaves the batched
+        # iteration; the other column goes on to its own fixed point
+        x = RngStream(13).standard_normal((80, 2))
+        h = np.stack([x[:, 0], np.full(80, const)], axis=1)
+        field, state = diffusion_map_gain(x, h, 0.3)
+        single, _ = diffusion_map_gain(x, x[:, 0], 0.3)
+        scale = np.abs(single.values).max()
+        assert np.all(np.isfinite(state.phi))
+        assert np.abs(field.values[:, :, 1]).max() <= 1e-10 * scale
+        assert np.abs(field.values[:, :, 0] - single.values[:, :, 0]).max() <= 1e-12 * scale
+
     def test_invalid_bandwidth(self):
         with pytest.raises(GainSolveError):
             diffusion_map_gain(np.array([0.0, 1.0]), np.array([0.0, 1.0]), eps=-0.1)
@@ -344,9 +404,46 @@ class TestDiffusionMapGain:
         x = RngStream(20).standard_normal((2000, 2))
         assert_matches_dense(x, x[:, :1], "auto")
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision here")
+    def test_ill_conditioned_closer_to_extended_precision(self):
+        # a particle 2 units past the rest at eps = 0.05 keeps about 1e-9 of
+        # its kernel mass off the diagonal, and max|phi| is about 1e9 max|rhs|;
+        # the LU works with 1 - T_ii, which has lost about 7 digits there
+        x = RngStream(0).standard_normal(60)
+        x = np.append(x, x.max() + 2.0)
+        h = x[:, None]
+        _, phi_lu, _, pi = dense_diffusion_map_gain(x, h, 0.05)
+        rhs = 0.05 * (h - pi @ h)
+        _, state = diffusion_map_gain(x, h, 0.05)
+        ref = longdouble_fixed_point(x, h, 0.05)
+        scale = float(np.abs(ref).max())
+        assert scale > 1e8 * np.abs(rhs).max()
+        err_cg = float(np.abs(state.phi - ref).max()) / scale
+        err_lu = float(np.abs(phi_lu - ref).max()) / scale
+        assert err_cg < err_lu
+        assert err_cg <= 1e-12
+
+    def test_iteration_cap_raises_and_restores_t(self, monkeypatch):
+        x = RngStream(22).standard_normal((200, 2))
+        h = x[:, :1]
+        _, state = diffusion_map_gain(x, h, "auto")
+        monkeypatch.setattr(gain, "CG_MAXITER", 2)
+        with pytest.raises(GainSolveError) as err:
+            diffusion_map_gain(x, h, "auto")
+        msg = str(err.value)
+        assert f"eps={state.eps:.3e}" in msg and "N=200" in msg
+        assert "backward error" in msg and "after 2 conjugate-gradient iterations" in msg
+        # the solve zeroes T's diagonal in place; a raise must restore it
+        T = state.transition.copy()
+        rhs = state.eps * (h - state.stationary @ h)
+        with pytest.raises(GainSolveError):
+            gain._solve_fixed_point(T, state.stationary, rhs, state.eps)
+        np.testing.assert_array_equal(T, state.transition)
+
     def test_traced_peak_two_arrays(self):
-        # T and the pinned matrix; LAPACK's LU copy is not seen by tracemalloc
-        # (the dense reference peaked at about 6 N^2)
+        # the distances and the Gram matrix while d2 is built; the solve
+        # holds only T (the dense reference peaked at about 6 N^2)
         n = 1000
         x = RngStream(21).standard_normal((n, 2))
         diffusion_map_gain(x, x[:, :1], "auto")

@@ -161,6 +161,19 @@ class TestPerturbedMap:
             assert np.all(np.abs(np.cov(sample.T) - cov) <= 3 * se_cov)
 
 
+@pytest.mark.parametrize("update", [
+    lambda jg, y: blue_update(jg, y),
+    lambda jg, y: ot_affine_map(jg)(np.zeros((4, 3)), y),
+    lambda jg, y: perturbed_enkf_map(jg, y, RngStream(0), 4),
+], ids=["blue", "ot-affine", "perturbed"])
+@pytest.mark.parametrize("y", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_observation_of_wrong_length_rejected(update, y):
+    # with m = 2, y = [1.0] used to broadcast to the update for y = (1, 1)
+    jg = random_joint(RngStream(3), d=3, m=2)
+    with pytest.raises(ValueError, match=r"y has shape .*expected \(2,\)"):
+        update(jg, np.array(y))
+
+
 class TestHeatTransport:
     def test_mode_is_fixed_point(self):
         prior = GaussianBelief(mean=np.array([1.5]), cov=np.eye(1))
