@@ -88,7 +88,6 @@ class RunConfig:
     horizon: float = 1.0
     bimodal_sigma2: float = 0.2
     jobs: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
@@ -104,7 +103,7 @@ class RunConfig:
         if not self.d_list or any(int(d) < 1 for d in self.d_list):
             raise ConfigError("d_list must contain integers >= 1")
         if not all(np.isfinite(e) and e > 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive and finite")
+            raise ConfigError(f"eps_list values must be positive and finite, got {self.eps_list}")
         if not (np.isfinite(self.dt) and np.isfinite(self.horizon)) \
                 or self.dt <= 0 or self.horizon < self.dt:
             raise ConfigError("need finite dt > 0 and horizon >= dt")
@@ -121,16 +120,17 @@ class RunConfig:
             raise ConfigError(
                 f"N={n_min}: need more than d={d_max} particles for a nonsingular empirical covariance"
             )
-        scales = (self.sigma0, self.sigma_w, self.bimodal_sigma2)
-        if not all(np.isfinite(v) and v > 0 for v in scales):
-            raise ConfigError("scale parameters must be positive and finite")
+        for name in ("sigma0", "sigma_w", "bimodal_sigma2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for m in self.methods:
             if m not in ("pf", "pf-modified", "fpf"):
-                raise ConfigError(f"unknown method {m!r}")
+                raise ConfigError(f"methods: unknown method {m!r}")
 
     def fingerprint(self) -> str:
-        # jobs/out are execution knobs, not part of the experiment identity
-        return fingerprint({k: v for k, v in self.__dict__.items() if k not in ("jobs", "out")})
+        # jobs is an execution knob, not part of the experiment identity
+        return fingerprint({k: v for k, v in self.__dict__.items() if k != "jobs"})
 
 
 def fingerprint(payload: dict) -> str:

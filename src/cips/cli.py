@@ -5,6 +5,10 @@ Subcommands: ``filter``, ``gain-study``, ``lqr-solve``, ``static-update``,
 CSVs carry a ``#``-prefixed metadata header (version, schema, seed, config
 hash) and are byte-identical across repeated runs.
 
+Each subcommand declares its options once, as :class:`Option` rows in
+:data:`OPTIONS`; the parser, the config-key check and every cast and
+default come from them.
+
 Config files are flat INI (``key = value`` under any section); values are
 parsed as JSON where possible.  Flags win over config values.
 
@@ -18,7 +22,7 @@ import configparser
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -84,26 +88,6 @@ def load_config(path: str) -> dict:
     return merged
 
 
-def _merge(config: dict, args: argparse.Namespace, names: list[str],
-           extra: tuple[str, ...] = ()) -> dict:
-    """Start from config values, let non-None flags win.
-
-    A config key that is neither a flag name in ``names`` nor one of the
-    ``extra`` keys the subcommand reads is an error, so a misspelt key
-    cannot silently fall back to a default.
-    """
-    unknown = sorted(set(config) - set(names) - set(extra))
-    if unknown:
-        known = ", ".join(sorted(set(names) | set(extra)))
-        raise ConfigError(f"{args.command}: unknown config keys {unknown}; known keys: {known}")
-    out = dict(config)
-    for name in names:
-        val = getattr(args, name, None)
-        if val is not None:
-            out[name] = val
-    return out
-
-
 def _cast(key: str, value, kind: type):
     """One option value as ``kind`` (``int``, ``float`` or ``str``).
 
@@ -118,11 +102,6 @@ def _cast(key: str, value, kind: type):
         except (ValueError, OverflowError):
             pass
     raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-
-
-def _option(opts: dict, key: str, default, kind: type):
-    """``opts[key]``, or ``default`` when it is absent, through :func:`_cast`."""
-    return _cast(key, opts.get(key, default), kind)
 
 
 def _bandwidth(value) -> float | str:
@@ -145,14 +124,160 @@ def _parse_list(key: str, value, kind: type) -> tuple:
     return tuple(_cast(key, v, kind) for v in value)
 
 
-def _matrix(value, name: str) -> np.ndarray:
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
+def _matrix(key: str, value) -> np.ndarray:
+    """A JSON array of finite numbers, given as a list or as its JSON text."""
     try:
-        arr = np.array(json.loads(value) if isinstance(value, str) else value, dtype=float)
-    except (TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse {name} as a JSON array: {value!r}") from exc
+        parsed = json.loads(value) if isinstance(value, str) else value
+        arr = np.array(parsed, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {key} as a JSON array: {value!r}") from exc
+    if _has_bool(parsed):
+        raise ConfigError(f"{key} must hold numbers, not true or false: {value!r}")
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} has nonfinite entries: {value!r}")
+        raise ConfigError(f"{key} has nonfinite entries: {value!r}")
     return arr
+
+
+def _true_or_false(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+# An option kind is a pair: a reader ``(key, value) -> typed value``, which
+# raises a ConfigError naming the key, and the argparse keywords of its flag.
+INT = (partial(_cast, kind=int), {"type": int})
+FLOAT = (partial(_cast, kind=float), {"type": float})
+INTS = (partial(_parse_list, kind=int), {})
+FLOATS = (partial(_parse_list, kind=float), {})
+STRS = (partial(_parse_list, kind=str), {})
+MATRIX = (_matrix, {})
+BANDWIDTH = (lambda key, value: _bandwidth(value), {})
+BOOL = (_true_or_false, {"action": "store_true"})
+
+
+def choice(*values: str, parser_checks: bool = True) -> tuple:
+    """One of ``values``; argparse checks the flag too unless told not to."""
+    def read(key: str, value) -> str:
+        if not (isinstance(value, str) and value in values):
+            raise ConfigError(f"{key} must be one of {', '.join(values)}, got {value!r}")
+        return value
+    return read, {"choices": values} if parser_checks else {}
+
+
+REQUIRED = object()
+
+
+@dataclass
+class Option:
+    """One option of a subcommand: its config key, kind, default and flag.
+
+    A ``None`` default leaves the key unset, for the command or ``RunConfig``
+    to fill; ``REQUIRED`` makes its absence an error.  The flag is ``--key``
+    with ``-`` for ``_`` unless given; ``None`` makes a config-only key.
+    """
+
+    key: str
+    kind: tuple
+    default: object = None
+    flag: str | None = ""
+
+    def __post_init__(self):
+        if self.flag == "":
+            self.flag = "--" + self.key.replace("_", "-")
+
+
+# Config keys that only the linear model reads; they have no flag.
+_MODEL_KEYS = ("a_matrix", "h_matrix", "sigma_b", "m0", "sigma0_matrix")
+
+OPTIONS = {
+    "filter": (
+        Option("model", choice("static", "linear"), "static"),
+        Option("method", choice(*FILTER_METHODS), "fpf-const"),
+        Option("d", INT, 1),
+        Option("sigma0", FLOAT, 1.0),
+        Option("sigma_w", FLOAT, 1.0),
+        Option("n", INT, 1000),
+        Option("dt", FLOAT, 0.02),
+        Option("horizon", FLOAT, 1.0, "--T"),
+        Option("seed", INT, 0),
+        Option("eps", BANDWIDTH, "auto"),
+        *(Option(key, MATRIX, flag=None) for key in _MODEL_KEYS),
+    ),
+    # density and h get no argparse choices: main returns 2 for another value
+    "gain-study": (
+        Option("density", choice("bimodal", parser_checks=False), "bimodal"),
+        Option("h", choice("x", parser_checks=False), "x"),
+        Option("sigma2", FLOAT, 0.2),
+        Option("eps_list", FLOATS, REQUIRED),
+        Option("n_list", INTS, (200,)),
+        Option("reps", INT, 100),
+        Option("seed", INT, 0),
+        Option("jobs", INT, 1),
+    ),
+    "lqr-solve": (
+        Option("d", INT, 2),
+        Option("n", INT, 1000),
+        Option("dt", FLOAT, 0.02),
+        Option("horizon", FLOAT, 10.0, "--T"),
+        Option("seed", INT, 0),
+        Option("oracle_only", BOOL, False),
+    ),
+    "static-update": (
+        Option("mean_x", MATRIX),
+        Option("mean_y", MATRIX),
+        Option("cov_x", MATRIX, REQUIRED),
+        Option("cov_xy", MATRIX, REQUIRED),
+        Option("cov_y", MATRIX, REQUIRED),
+        Option("y", MATRIX, REQUIRED),
+        Option("method", choice("ot", "perturbed"), "ot"),
+        Option("samples", INT, 0),
+        Option("seed", INT, 0),
+    ),
+    # the defaults of bench are those of _BENCH_DEFAULTS and RunConfig
+    "bench": (
+        Option("experiment", choice(*EXPERIMENT_NAMES), REQUIRED),
+        Option("seed", INT),
+        Option("reps", INT),
+        Option("n_list", INTS),
+        Option("d_list", INTS),
+        Option("eps_list", FLOATS),
+        Option("methods", STRS),
+        Option("sigma0", FLOAT),
+        Option("sigma_w", FLOAT),
+        Option("dt", FLOAT),
+        Option("horizon", FLOAT, None, "--T"),
+        Option("bimodal_sigma2", FLOAT),
+        Option("jobs", INT),
+    ),
+}
+
+
+def _read_options(args: argparse.Namespace) -> tuple[str, dict]:
+    """The config hash of ``args.command``'s options, and every option read.
+
+    Given flags win over config values; a config key that is no option is an
+    error.  Every given value is read, even where the run ignores it.  The
+    hash is over the given values only, as argparse or JSON typed them.
+    """
+    options = OPTIONS[args.command]
+    given = load_config(args.config) if args.config else {}
+    keys = sorted(opt.key for opt in options)
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ConfigError(f"{args.command}: unknown config keys {unknown}; known keys: {', '.join(keys)}")
+    given.update((opt.key, getattr(args, opt.key)) for opt in options
+                 if opt.flag and getattr(args, opt.key) is not None)
+    missing = [opt.flag for opt in options if opt.default is REQUIRED and opt.key not in given]
+    if missing:
+        raise ConfigError(f"{args.command} requires {', '.join(missing)}")
+    read = {opt.key: opt.kind[0](opt.key, given[opt.key]) if opt.key in given else opt.default
+            for opt in options if opt.key in given or opt.default is not None}
+    return fingerprint({k: str(v) for k, v in given.items()}), read
 
 
 @contextmanager
@@ -160,11 +285,10 @@ def _setup_errors():
     """Report the library's argument checks made during set-up as usage errors.
 
     The rules (positive dt, at least two particles, ...) are written once,
-    as ``ValueError``s where the library checks them; here they exit 2.
-    Option values are cast by :func:`_cast`, which raises ``ConfigError``
-    itself.  A size too large to allocate (a whole but astronomical step
-    count, say) is a usage error too.  Failures while stepping are
-    ``NumericError``s and still exit 1.
+    as ``ValueError``s where the library checks them; here they exit 2.  A
+    size too large to allocate (a whole but astronomical step count, say) is
+    a usage error too.  Failures while stepping are ``NumericError``s and
+    still exit 1.
     """
     try:
         yield
@@ -187,43 +311,24 @@ def _write_or_print(table: ResultTable, out: str | None) -> None:
 # filter subcommand
 # ---------------------------------------------------------------------------
 
-# Config keys that only _build_model reads (the linear model's matrices).
-_MODEL_KEYS = ("a_matrix", "h_matrix", "sigma_b", "m0", "sigma0_matrix")
-
-
 def _build_model(opts: dict):
-    kind = str(opts.get("model", "static"))
-    if kind == "static":
-        return make_static_param(_option(opts, "d", 1, int), _option(opts, "sigma0", 1.0, float),
-                                 _option(opts, "sigma_w", 1.0, float))
-    if kind == "linear":
-        missing = [k for k in _MODEL_KEYS if k not in opts]
-        if missing:
-            raise ConfigError(f"linear model needs config keys {missing}")
-        return make_linear_gaussian(
-            _matrix(opts["a_matrix"], "a_matrix"),
-            _matrix(opts["h_matrix"], "h_matrix"),
-            _matrix(opts["sigma_b"], "sigma_b"),
-            _matrix(opts["m0"], "m0"),
-            _matrix(opts["sigma0_matrix"], "sigma0_matrix"),
-            obs_noise_scale=_option(opts, "sigma_w", 1.0, float),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if opts["model"] == "static":
+        return make_static_param(opts["d"], opts["sigma0"], opts["sigma_w"])
+    missing = [k for k in _MODEL_KEYS if k not in opts]
+    if missing:
+        raise ConfigError(f"linear model needs config keys {missing}")
+    return make_linear_gaussian(*(opts[k] for k in _MODEL_KEYS), obs_noise_scale=opts["sigma_w"])
 
 
-def _moment_rows(times, means, covs):
-    d = means.shape[1]
-    rows = []
-    for k in range(means.shape[0]):
-        rows.append(
-            (float(times[k]),)
-            + tuple(float(v) for v in means[k])
-            + tuple(float(v) for v in covs[k].reshape(-1))
-        )
-    cols = ("t",) + tuple(f"m_{i}" for i in range(d)) + tuple(
-        f"s_{i}_{j}" for i in range(d) for j in range(d)
-    )
-    return cols, rows
+def _entry_names(prefix: str, *shape: int) -> tuple[str, ...]:
+    """Column names of an array's entries in row-major order: ``s_0_1``, ..."""
+    return tuple("_".join(map(str, (prefix,) + idx)) for idx in np.ndindex(*shape))
+
+
+def _time_rows(times, *paths) -> list[tuple]:
+    """One row per time: ``t``, then the entries of each path at ``t``."""
+    flat = [np.reshape(path, (len(times), -1)).tolist() for path in paths]
+    return [(t,) + tuple(v for f in flat for v in f[k]) for k, t in enumerate(times.tolist())]
 
 
 def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
@@ -245,35 +350,25 @@ def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    opts = _merge(load_config(args.config) if args.config else {}, args, [
-        "model", "d", "sigma0", "sigma_w", "method", "n", "dt", "horizon", "seed", "eps",
-    ], extra=_MODEL_KEYS)
-    method = str(opts.get("method", "fpf-const"))
-    if method not in FILTER_METHODS:
-        raise ConfigError(f"unknown filter method {method!r}; choose from {FILTER_METHODS}")
+    config_hash, opts = _read_options(args)
+    method, seed = opts["method"], opts["seed"]
     with _setup_errors():
-        seed = _option(opts, "seed", 0, int)
-        n = _option(opts, "n", 1000, int)
-        dt = _option(opts, "dt", 0.02, float)
-        horizon = _option(opts, "horizon", 1.0, float)
-        eps = _bandwidth(opts.get("eps", "auto"))
         model = _build_model(opts)
         rng = RngStream(seed)
-        _, obs = simulate_truth_and_observations(model, dt, horizon, rng.substream(0))
+        _, obs = simulate_truth_and_observations(model, opts["dt"], opts["horizon"],
+                                                 rng.substream(0))
         frng = rng.substream(1)
         if method != "kalman":
-            start, step = _filter_start(method, model, n, eps, frng, obs.t0)
+            start, step = _filter_start(method, model, opts["n"], opts["eps"], frng, obs.t0)
     if method == "kalman":
         run = kalman_bucy_run(model, obs)
     else:
         run = run_filter(model, obs, start, step, frng)
-    cols, rows = _moment_rows(run.times, run.means, run.covs)
+    d = model.dim_state
     table = ResultTable(
-        columns=cols,
-        rows=rows,
-        metadata=table_metadata(seed, f"filter-{method}", fingerprint(
-            {k: str(v) for k, v in opts.items()}
-        )),
+        columns=("t",) + _entry_names("m", d) + _entry_names("s", d, d),
+        rows=_time_rows(run.times, run.means, run.covs),
+        metadata=table_metadata(seed, f"filter-{method}", config_hash),
     )
     _write_or_print(table, args.out)
     return 0
@@ -284,26 +379,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gain_study(args: argparse.Namespace) -> int:
-    opts = _merge(load_config(args.config) if args.config else {}, args, [
-        "density", "h", "sigma2", "eps_list", "n_list", "reps", "seed", "jobs",
-    ])
-    if "eps_list" not in opts:
-        raise ConfigError("gain-study requires --eps-list")
-    if str(opts.get("density", "bimodal")) != "bimodal":
-        raise ConfigError("gain-study supports density 'bimodal' only")
-    if str(opts.get("h", "x")) != "x":
-        raise ConfigError("gain-study supports the identity observable h = x only")
+    _, opts = _read_options(args)
     with _setup_errors():
-        cfg = RunConfig(
-            experiment="bias-variance",
-            seed=_option(opts, "seed", 0, int),
-            reps=_option(opts, "reps", 100, int),
-            n_list=_parse_list("n_list", opts.get("n_list", "200"), int),
-            d_list=(1,),
-            eps_list=_parse_list("eps_list", opts["eps_list"], float),
-            bimodal_sigma2=_option(opts, "sigma2", 0.2, float),
-            jobs=_option(opts, "jobs", 1, int),
-        )
+        cfg = RunConfig(experiment="bias-variance", seed=opts["seed"], reps=opts["reps"],
+                        n_list=opts["n_list"], eps_list=opts["eps_list"],
+                        bimodal_sigma2=opts["sigma2"], jobs=opts["jobs"])
     _write_or_print(gain_study_table(cfg), args.out)
     return 0
 
@@ -313,48 +393,27 @@ def cmd_gain_study(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lqr_solve(args: argparse.Namespace) -> int:
-    opts = _merge(load_config(args.config) if args.config else {}, args, [
-        "d", "n", "dt", "horizon", "seed", "oracle_only",
-    ])
+    config_hash, opts = _read_options(args)
+    d, seed = opts["d"], opts["seed"]
     # run_dual_enkf checks the grid and the ensemble size before its first
     # step; its stepping failures are NumericErrors, not ValueErrors.
     with _setup_errors():
-        d = _option(opts, "d", 2, int)
-        n = _option(opts, "n", 1000, int)
-        dt = _option(opts, "dt", 0.02, float)
-        horizon = _option(opts, "horizon", 10.0, float)
-        seed = _option(opts, "seed", 0, int)
-        oracle_only = opts.get("oracle_only", False)
-        if not isinstance(oracle_only, bool):
-            raise ConfigError(f"oracle_only must be true or false, got {oracle_only!r}")
         rng = RngStream(seed)
-        lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=horizon)
-        if oracle_only:
+        lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=opts["horizon"])
+        if opts["oracle_only"]:
             lq = replace(lq, A=None, B=None, C=None)
-        run = run_dual_enkf(lq, n, dt, rng.substream(1))
+        run = run_dual_enkf(lq, opts["n"], opts["dt"], rng.substream(1))
 
-    m = lq.dim_input
-    gain_cols = ("t",) + tuple(f"k_{i}_{j}" for i in range(m) for j in range(d))
-    gain_rows = [
-        (float(t),) + tuple(float(v) for v in K.reshape(-1))
-        for t, K in zip(run.times, run.gains)
-    ]
-    meta = table_metadata(seed, "lqr-gain", fingerprint({k: str(v) for k, v in opts.items()}))
-    _write_or_print(ResultTable(columns=gain_cols, rows=gain_rows, metadata=meta), args.out)
+    meta = table_metadata(seed, "lqr-gain", config_hash)
+    gains = ResultTable(columns=("t",) + _entry_names("k", lq.dim_input, d),
+                        rows=_time_rows(run.times, run.gains), metadata=meta)
+    _write_or_print(gains, args.out)
 
     s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
-    if not s_out:
-        return 0
-    s_cols = ("t",) + tuple(f"s_{i}_{j}" for i in range(d) for j in range(d))
-    s_rows = [
-        (float(t),) + tuple(float(v) for v in S.reshape(-1))
-        for t, S in zip(run.times, run.cov_path)
-    ]
-    s_table = ResultTable(
-        columns=s_cols, rows=s_rows,
-        metadata=table_metadata(seed, "lqr-cov", meta["config"]),
-    )
-    s_table.write(s_out)
+    if s_out:
+        ResultTable(columns=("t",) + _entry_names("s", d, d),
+                    rows=_time_rows(run.times, run.cov_path),
+                    metadata=table_metadata(seed, "lqr-cov", meta["config"])).write(s_out)
     return 0
 
 
@@ -363,52 +422,35 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_static_update(args: argparse.Namespace) -> int:
-    opts = _merge(load_config(args.config) if args.config else {}, args, [
-        "mean_x", "mean_y", "cov_x", "cov_xy", "cov_y", "y", "method", "samples", "seed",
-    ])
-    required = ("cov_x", "cov_xy", "cov_y", "y")
-    missing = [k for k in required if opts.get(k) is None]
-    if missing:
-        raise ConfigError(f"static-update requires {missing}")
+    config_hash, opts = _read_options(args)
+    samples, method, seed = opts["samples"], opts["method"], opts["seed"]
     with _setup_errors():
-        y = np.atleast_1d(_matrix(opts["y"], "y"))
-        cov_x = np.atleast_2d(_matrix(opts["cov_x"], "cov_x"))
-        cov_y = np.atleast_2d(_matrix(opts["cov_y"], "cov_y"))
-        cov_xy = np.atleast_2d(_matrix(opts["cov_xy"], "cov_xy"))
-        d, m = cov_x.shape[0], cov_y.shape[0]
-        mean_x = np.atleast_1d(_matrix(opts.get("mean_x", [0.0] * d), "mean_x"))
-        mean_y = np.atleast_1d(_matrix(opts.get("mean_y", [0.0] * m), "mean_y"))
-        jg = JointGaussian(mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_xy=cov_xy, cov_y=cov_y)
-
-        samples = _option(opts, "samples", 0, int)
-        method = str(opts.get("method", "ot"))
-        if samples > 0:
-            if not args.sample_out:
-                raise ConfigError("--samples requires --sample-out")
-            if method not in ("ot", "perturbed"):
-                raise ConfigError(f"unknown static-update method {method!r}")
-        mean, cov = blue_update(jg, y)
+        # JointGaussian and the maps shape the arrays and check y's length
+        d, m = (len(np.atleast_2d(opts[k])) for k in ("cov_x", "cov_y"))
+        jg = JointGaussian(opts.get("mean_x", np.zeros(d)), opts.get("mean_y", np.zeros(m)),
+                           opts["cov_x"], opts["cov_xy"], opts["cov_y"])
+        rng = RngStream(seed)
+        if samples < 0:
+            raise ConfigError(f"samples must be >= 0, got {samples}")
+        if samples > 0 and not args.sample_out:
+            raise ConfigError("--samples requires --sample-out")
+        mean, cov = blue_update(jg, opts["y"])
 
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
-    seed = _option(opts, "seed", 0, int)
-    meta = table_metadata(seed, "static-update", fingerprint({k: str(v) for k, v in opts.items()}))
+    meta = table_metadata(seed, "static-update", config_hash)
     _write_or_print(ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta), args.out)
 
     if samples > 0:
-        rng = RngStream(seed)
         if method == "ot":
             x0, _ = jg.sample(rng, samples)
-            transformed = ot_affine_map(jg)(x0, y)
+            transformed = ot_affine_map(jg)(x0, opts["y"])
         else:
-            transformed = perturbed_enkf_map(jg, y, rng, samples)
-        sample_rows = [tuple(float(v) for v in row) for row in transformed]
-        sample_table = ResultTable(
-            columns=tuple(f"x_{i}" for i in range(d)),
-            rows=sample_rows,
-            metadata=table_metadata(seed, f"static-samples-{method}", meta["config"]),
-        )
-        sample_table.write(args.sample_out)
+            transformed = perturbed_enkf_map(jg, opts["y"], rng, samples)
+        ResultTable(columns=_entry_names("x", d),
+                    rows=[tuple(float(v) for v in row) for row in transformed],
+                    metadata=table_metadata(seed, f"static-samples-{method}", meta["config"]),
+                    ).write(args.sample_out)
     return 0
 
 
@@ -416,42 +458,18 @@ def cmd_static_update(args: argparse.Namespace) -> int:
 # bench subcommand
 # ---------------------------------------------------------------------------
 
+# Where an experiment's defaults differ from those of RunConfig.
 _BENCH_DEFAULTS = {
-    "mse-levelsets": dict(reps=1000, n_list=(1000,), d_list=(1, 2, 3), horizon=1.0),
-    "bias-variance": dict(reps=100, n_list=(200,), d_list=(1,),
-                          eps_list=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0)),
-    "dual-enkf": dict(reps=10, n_list=(1000,), d_list=(2,), horizon=10.0),
+    "mse-levelsets": dict(d_list=(1, 2, 3)),
+    "bias-variance": dict(reps=100, n_list=(200,), eps_list=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0)),
+    "dual-enkf": dict(reps=10, d_list=(2,), horizon=10.0),
 }
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    opts = _merge(load_config(args.config) if args.config else {}, args, [
-        "experiment", "seed", "reps", "n_list", "d_list", "eps_list", "methods",
-        "sigma0", "sigma_w", "dt", "horizon", "bimodal_sigma2", "jobs",
-    ])
-    experiment = opts.get("experiment")
-    if experiment not in EXPERIMENT_NAMES:
-        raise ConfigError(
-            f"--experiment must be one of {EXPERIMENT_NAMES}, got {experiment!r}"
-        )
-    merged = dict(_BENCH_DEFAULTS[experiment])
-    merged.update({k: v for k, v in opts.items() if k != "experiment"})
+    _, opts = _read_options(args)
     with _setup_errors():
-        cfg = RunConfig(
-            experiment=experiment,
-            seed=_option(merged, "seed", 0, int),
-            reps=_option(merged, "reps", 100, int),
-            n_list=_parse_list("n_list", merged.get("n_list", (1000,)), int),
-            d_list=_parse_list("d_list", merged.get("d_list", (1,)), int),
-            eps_list=_parse_list("eps_list", merged.get("eps_list", ()), float),
-            methods=_parse_list("methods", merged.get("methods", ("pf", "pf-modified", "fpf")), str),
-            sigma0=_option(merged, "sigma0", 1.0, float),
-            sigma_w=_option(merged, "sigma_w", 1.0, float),
-            dt=_option(merged, "dt", 0.02, float),
-            horizon=_option(merged, "horizon", 1.0, float),
-            bimodal_sigma2=_option(merged, "bimodal_sigma2", 0.2, float),
-            jobs=_option(merged, "jobs", 1, int),
-        )
+        cfg = RunConfig(**{**_BENCH_DEFAULTS[opts["experiment"]], **opts})
     _write_or_print(run_experiment(cfg), args.out)
     return 0
 
@@ -467,86 +485,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cips {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-        p.add_argument("--config", type=str, default=None, help="INI config file; flags win")
-
-    def jobs(p):
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
-
-    p = sub.add_parser("filter", help="run one filtering experiment")
-    common(p)
-    p.add_argument("--model", choices=("static", "linear"), default=None)
-    p.add_argument("--method", choices=FILTER_METHODS, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--sigma-w", dest="sigma_w", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="number of particles")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--T", dest="horizon", type=float, default=None)
-    p.add_argument("--eps", default=None, help="diffusion-map bandwidth or 'auto'")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("gain-study", help="diffusion-map gain error study")
-    common(p)
-    jobs(p)
-    p.add_argument("--density", type=str, default=None, help="density name (bimodal)")
-    p.add_argument("--h", type=str, default=None, help="observable spec (x)")
-    p.add_argument("--sigma2", type=float, default=None, help="bimodal component variance")
-    p.add_argument("--eps-list", dest="eps_list", type=str, default=None)
-    p.add_argument("--n-list", dest="n_list", type=str, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.set_defaults(func=cmd_gain_study)
-
-    p = sub.add_parser("lqr-solve", help="dual ensemble LQ solve")
-    common(p)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--T", dest="horizon", type=float, default=None)
-    p.add_argument("--oracle-only", dest="oracle_only", action="store_true", default=None)
-    p.add_argument("--out-s", dest="out_s", type=str, default=None,
-                   help="covariance-path CSV (default: <out>.s.csv; "
-                   "not written when neither is given)")
-    p.set_defaults(func=cmd_lqr_solve)
-
-    p = sub.add_parser("static-update", help="Gaussian conditioning maps")
-    common(p)
-    p.add_argument("--mean-x", dest="mean_x", type=str, default=None)
-    p.add_argument("--mean-y", dest="mean_y", type=str, default=None)
-    p.add_argument("--cov-x", dest="cov_x", type=str, default=None)
-    p.add_argument("--cov-xy", dest="cov_xy", type=str, default=None)
-    p.add_argument("--cov-y", dest="cov_y", type=str, default=None)
-    p.add_argument("--y", type=str, default=None, help="observed value (JSON array)")
-    p.add_argument("--method", choices=("ot", "perturbed"), default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--sample-out", dest="sample_out", type=str, default=None)
-    p.set_defaults(func=cmd_static_update)
-
-    p = sub.add_parser("bench", help="benchmark table reproduction")
-    common(p)
-    jobs(p)
-    p.add_argument("--experiment", choices=EXPERIMENT_NAMES, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--n-list", dest="n_list", type=str, default=None)
-    p.add_argument("--d-list", dest="d_list", type=str, default=None)
-    p.add_argument("--eps-list", dest="eps_list", type=str, default=None)
-    p.add_argument("--methods", type=str, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--sigma-w", dest="sigma_w", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--T", dest="horizon", type=float, default=None)
-    p.add_argument("--bimodal-sigma2", dest="bimodal_sigma2", type=float, default=None)
-    p.set_defaults(func=cmd_bench)
-
+    # the handlers are looked up here, at call time, so that a wrapped
+    # module attribute is the one that runs
+    for name, func, text, paths in (
+        ("filter", cmd_filter, "run one filtering experiment", {}),
+        ("gain-study", cmd_gain_study, "diffusion-map gain error study", {}),
+        ("lqr-solve", cmd_lqr_solve, "dual ensemble LQ solve", {
+            "--out-s": "covariance-path CSV (default: <out>.s.csv; "
+                       "not written when neither is given)"}),
+        ("static-update", cmd_static_update, "Gaussian conditioning maps", {
+            "--sample-out": "transported samples CSV (needed by --samples)"}),
+        ("bench", cmd_bench, "benchmark table reproduction", {}),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help="output CSV path (default stdout)")
+        p.add_argument("--config", help="INI config file; flags win")
+        for flag, path_help in paths.items():
+            p.add_argument(flag, help=path_help)
+        for opt in OPTIONS[name]:
+            if opt.flag:
+                p.add_argument(opt.flag, dest=opt.key, default=None, **opt.kind[1])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -270,7 +270,13 @@ def _median_bandwidth(d2: np.ndarray) -> float:
     # The strict upper triangle row by row, in np.triu_indices order but
     # without its two N(N-1)/2 index arrays.
     upper = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    med = float(np.median(upper, overwrite_input=True))
+    # np.median(upper, overwrite_input=True) without its NaN check, which
+    # imports numpy.ma inside the first call of a process, where its objects
+    # can pin the heap above later calls' N x N buffers.
+    h = upper.size // 2
+    lo = h - 1 + upper.size % 2
+    upper.partition([lo, h, -1])          # a NaN partitions last
+    med = float(upper[-1] if np.isnan(upper[-1]) else upper[lo:h + 1].mean())
     if med <= 0:
         return 1.0
     return med / (4.0 * max(np.log(n), 1.0))

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from cips.bench import (
     static_method_mse,
     static_pf_mse,
 )
+from cips import cli
 from cips.cli import load_config, main
 from cips.core import RngStream
 from cips.dual_enkf import run_dual_enkf
@@ -67,6 +70,14 @@ class TestRunConfig:
         for n_list, d_list in [((2,), (2,)), ((10, 3), (1, 3)), ((10,), (2, 10))]:
             with pytest.raises(ConfigError, match="particles"):
                 RunConfig(experiment="dual-enkf", n_list=n_list, d_list=d_list)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", float("nan")), ("sigma_w", 0.0), ("bimodal_sigma2", -1.0),
+        ("eps_list", (0.1, float("inf"))), ("methods", ("pf", "zz")),
+    ])
+    def test_errors_name_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field}\b"):
+            RunConfig(**{"experiment": "bias-variance", "eps_list": (0.1,), field: value})
 
     def test_fingerprint_stable(self):
         a = RunConfig(experiment="dual-enkf", seed=3, horizon=10.0)
@@ -516,6 +527,12 @@ class TestCli:
         # a NaN step for an experiment that does not step: "<= 0" let it through
         ["bench", "--experiment", "bias-variance", "--dt", "nan", "--T", "nan",
          "--eps-list", "0.1", "--n-list", "20", "--reps", "2"],
+        # the seed is checked before the first table is written
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[1]", "--samples", "3", "--sample-out", "s.csv", "--seed", "-1"],
+        # a negative sample count used to draw nothing and exit 0
+        ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
+         "--y", "[1]", "--samples", "-3"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -615,9 +632,18 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         ("bench", "experiment = mse-levelsets\nn_list = [100, null]\n", "n_list"),
         ("static-update", "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\n"
                           "y = [0.2]\nsamples = abc\n", "samples"),
+        # a JSON bool used to be read as 1.0
+        ("static-update", "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\ny = true\n", "y"),
+        ("static-update", "cov_x = true\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\ny = [0.2]\n", "cov_x"),
+        ("static-update", "cov_x = [[1.0]]\ncov_xy = true\ncov_y = [[1.0]]\ny = [0.2]\n",
+         "cov_xy"),
+        ("static-update", "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\ny = [0.2]\n"
+                          "mean_x = true\n", "mean_x"),
     ], ids=["bench-reps-abc", "lqr-oracle-only-False", "lqr-oracle-only-1",
             "bench-reps-list", "lqr-seed-null", "filter-n-fraction", "filter-dt-bool",
-            "bench-n-list-null", "static-update-samples-abc"])
+            "bench-n-list-null", "static-update-samples-abc", "static-update-y-bool",
+            "static-update-cov-x-bool", "static-update-cov-xy-bool",
+            "static-update-mean-x-bool"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, sub, text, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[run]\n" + text)
@@ -697,3 +723,121 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert parsed["n_list"] == [100, 200]
         assert parsed["name"] == "hello"
         assert parsed["sigma0"] == 1.5
+
+
+# A valid, quick config of each subcommand.  The filter one runs the linear
+# model, so that d, sigma0, n and eps are keys the run ignores.
+_BASE_CONFIGS = {
+    "filter": dict(model="linear", method="kalman", horizon=0.04,
+                   a_matrix=[[-1.0]], h_matrix=[[1.0]], sigma_b=[[0.5]], m0=[0.0],
+                   sigma0_matrix=[[1.0]]),
+    "gain-study": dict(eps_list=[0.5], n_list=[20], reps=1),
+    "lqr-solve": dict(d=1, n=5, horizon=0.04),
+    "static-update": dict(cov_x=[[1.0]], cov_xy=[[0.5]], cov_y=[[1.0]], y=[0.2]),
+    "bench": dict(experiment="dual-enkf", d_list=[1], n_list=[5], reps=1, horizon=0.04),
+}
+
+
+def _config_text(config: dict) -> str:
+    return "[run]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in config.items())
+
+
+def _bad_values(kind) -> list[str]:
+    """Config values, as written in the file, of the JSON types ``kind`` rejects."""
+    if kind in (cli.INTS, cli.FLOATS, cli.STRS, cli.MATRIX):
+        return ["null", "true", "zz", "[1, null]"]
+    return ["[1, 2]", "null", "zz"] + ([] if kind is cli.BOOL else ["true"])
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("sub, opt", [(sub, opt) for sub, options in cli.OPTIONS.items()
+                                          for opt in options],
+                             ids=lambda v: getattr(v, "key", v))
+    def test_every_option_rejects_wrong_json_types(self, tmp_path, capsys, sub, opt):
+        # every declared key is read, also where the run then ignores it
+        for bad in _bad_values(opt.kind):
+            config = {k: v for k, v in _BASE_CONFIGS[sub].items() if k != opt.key}
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(_config_text(config) + f"{opt.key} = {bad}\n")
+            out = tmp_path / "o.csv"
+            code = main([sub, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2, (bad, err)
+            assert err.startswith("error:") and re.search(rf"\b{opt.key}\b", err), (bad, err)
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("sub", list(_BASE_CONFIGS))
+    def test_base_configs_run(self, tmp_path, sub):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(_config_text(_BASE_CONFIGS[sub]))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_flags_and_config_keys_unchanged(self):
+        flags = {sub: sorted(opt.flag for opt in options if opt.flag)
+                 for sub, options in cli.OPTIONS.items()}
+        assert flags == {
+            "filter": sorted(["--model", "--method", "--d", "--sigma0", "--sigma-w", "--n",
+                              "--dt", "--T", "--seed", "--eps"]),
+            "gain-study": sorted(["--density", "--h", "--sigma2", "--eps-list", "--n-list",
+                                  "--reps", "--seed", "--jobs"]),
+            "lqr-solve": sorted(["--d", "--n", "--dt", "--T", "--seed", "--oracle-only"]),
+            "static-update": sorted(["--mean-x", "--mean-y", "--cov-x", "--cov-xy", "--cov-y",
+                                     "--y", "--method", "--samples", "--seed"]),
+            "bench": sorted(["--experiment", "--seed", "--reps", "--n-list", "--d-list",
+                             "--eps-list", "--methods", "--sigma0", "--sigma-w", "--dt", "--T",
+                             "--bimodal-sigma2", "--jobs"]),
+        }
+        for sub, options in cli.OPTIONS.items():
+            by_flag = sorted("horizon" if f == "--T" else f[2:].replace("-", "_")
+                             for f in flags[sub])
+            config_only = ["a_matrix", "h_matrix", "m0", "sigma0_matrix", "sigma_b"]
+            assert sorted(opt.key for opt in options) == sorted(
+                by_flag + (config_only if sub == "filter" else []))
+
+
+_SU_FLAGS = ["--cov-x", "[[1.0]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[2.0]]", "--y", "[1.0]"]
+
+
+# The "#" header of one run of each subcommand, by flag and by config, as the
+# CLI wrote it before its options were declared in tables.  The config hash
+# is over the given values as strings, so "--sigma0 1" (a float from
+# argparse) and "sigma0 = 1" (an int from JSON) hash differently.
+@pytest.mark.parametrize("argv, config, header", [
+    (["filter", "--method", "kalman", "--sigma0", "1", "--T", "0.1", "--seed", "3"], None,
+     ("filter-kalman-v1", "3", "faa1af63a632495e")),
+    (["filter"], "method = kalman\nsigma0 = 1\nhorizon = 0.1\nseed = 3\n",
+     ("filter-kalman-v1", "3", "490f685e473000e3")),
+    (["gain-study", "--eps-list", "0.5", "--n-list", "20", "--reps", "1", "--seed", "3"], None,
+     ("gain-study-v1", "3", "9caf02e33d97f9d0")),
+    (["gain-study"], "eps_list = [0.5]\nn_list = [20]\nreps = 1\nseed = 3\n",
+     ("gain-study-v1", "3", "9caf02e33d97f9d0")),
+    (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--oracle-only"], None,
+     ("lqr-gain-v1", "0", "1b9f94623eb0217e")),
+    (["lqr-solve"], "d = 1\nn = 5\nhorizon = 0.1\noracle_only = true\n",
+     ("lqr-gain-v1", "0", "1b9f94623eb0217e")),
+    (["static-update"] + _SU_FLAGS + ["--seed", "2"], None,
+     ("static-update-v1", "2", "42cef3591f2051d5")),
+    (["static-update"], "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[2.0]]\ny = [1.0]\nseed = 2\n",
+     ("static-update-v1", "2", "42cef3591f2051d5")),
+    (["bench", "--experiment", "dual-enkf", "--d-list", "1", "--n-list", "5", "--reps", "1",
+      "--T", "0.1", "--seed", "4"], None,
+     ("dual-enkf-v1", "4", "82f26e3461309083")),
+    (["bench"], "experiment = dual-enkf\nd_list = [1]\nn_list = [5]\nreps = 1\n"
+                "horizon = 0.1\nseed = 4\n",
+     ("dual-enkf-v1", "4", "82f26e3461309083")),
+], ids=["filter-flag", "filter-config", "gain-study-flag", "gain-study-config",
+        "lqr-solve-flag", "lqr-solve-config", "static-update-flag", "static-update-config",
+        "bench-flag", "bench-config"])
+def test_config_hash_pinned(tmp_path, argv, config, header):
+    if config is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\n" + config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    schema, seed, config_hash = header
+    assert [ln for ln in out.read_text().splitlines() if ln.startswith("#")] == [
+        "# version = 0.1.0", f"# schema = {schema}", f"# seed = {seed}",
+        f"# config = {config_hash}",
+    ]

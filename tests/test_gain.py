@@ -463,6 +463,39 @@ class TestDiffusionMapGain:
         assert state.eps == pytest.approx(eps)
         assert np.all(np.isfinite(field.values))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 40), d=st.integers(1, 3), decimals=st.sampled_from([None, 0, 1]),
+           nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_auto_bandwidth_is_the_numpy_median_rule(self, n, d, decimals, nan, seed):
+        # bit for bit, odd and even pair counts, tied distances and a NaN
+        x = RngStream(seed).standard_normal((n, d))
+        if decimals is not None:
+            x = np.round(x, decimals)
+        d2 = gain._pairwise_sq_dists(x)
+        if nan:
+            d2[0, n - 1] = np.nan
+        med = np.median(d2[np.triu_indices(n, 1)])
+        expected = 1.0 if med <= 0 else med / (4.0 * max(np.log(n), 1.0))
+        got = gain._median_bandwidth(d2)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    def test_auto_bandwidth_loads_no_numpy_ma(self):
+        # np.median imports numpy.ma; loaded inside a timed gain call, its
+        # objects make the process's peak RSS depend on heap layout
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = ("import sys; import numpy as np; from cips.gain import diffusion_map_gain; "
+                  "x = np.random.default_rng(0).standard_normal((50, 2)); "
+                  "diffusion_map_gain(x, x, 'auto'); print('numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestExactGain1D:
     def test_standard_normal_unit_gain(self):
