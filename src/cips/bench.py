@@ -124,9 +124,17 @@ class RunConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
         for m in self.methods:
             if m not in ("pf", "pf-modified", "fpf"):
                 raise ConfigError(f"methods: unknown method {m!r}")
+        # each cell's substream is keyed by its index, so a repeated entry
+        # would give rows with the same keys and different values
+        for name in ("methods", "n_list", "d_list", "eps_list"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} has repeated entries: {values}")
 
     def fingerprint(self) -> str:
         # jobs is an execution knob, not part of the experiment identity

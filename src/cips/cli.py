@@ -23,7 +23,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -478,27 +478,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cips`` parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="cips",
         description="Controlled interacting particle systems: filters, gains, LQ control.",
     )
     parser.add_argument("--version", action="version", version=f"cips {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the handlers are looked up here, at call time, so that a wrapped
-    # module attribute is the one that runs
-    for name, func, text, paths in (
-        ("filter", cmd_filter, "run one filtering experiment", {}),
-        ("gain-study", cmd_gain_study, "diffusion-map gain error study", {}),
-        ("lqr-solve", cmd_lqr_solve, "dual ensemble LQ solve", {
+    for name, text, paths in (
+        ("filter", "run one filtering experiment", {}),
+        ("gain-study", "diffusion-map gain error study", {}),
+        ("lqr-solve", "dual ensemble LQ solve", {
             "--out-s": "covariance-path CSV (default: <out>.s.csv; "
                        "not written when neither is given)"}),
-        ("static-update", cmd_static_update, "Gaussian conditioning maps", {
+        ("static-update", "Gaussian conditioning maps", {
             "--sample-out": "transported samples CSV (needed by --samples)"}),
-        ("bench", cmd_bench, "benchmark table reproduction", {}),
+        ("bench", "benchmark table reproduction", {}),
     ):
         p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--config", help="INI config file; flags win")
         for flag, path_help in paths.items():
@@ -511,8 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the handler is looked up at each call, not kept in the cached parser,
+    # so that a wrapped module attribute is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

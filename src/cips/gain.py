@@ -213,7 +213,8 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
 
     psi = basis.evaluate(x)                  # (N, M)
     grads = basis.evaluate_gradients(x)      # (N, M, d)
-    A = np.einsum("nkd,nld->kl", grads, grads) / n
+    flat = grads.transpose(1, 0, 2).reshape(len(basis), n * d)
+    A = flat @ flat.T / n                    # one symmetric product (syrk)
     centered = h - h.mean(axis=0)            # (N, m)
     b = psi.T @ centered / n                 # (M, m)
     kappa = _solve_gram(A, b)                # (M, m)
@@ -245,8 +246,9 @@ def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
 # first raises GainSolveError.
 CG_RTOL = 1e-14
 CG_MAXITER = 1000
-# Rows of T divided by the kernel normaliser per temporary block.
-_NORM_ROWS = 256
+# Elementwise passes over an N x N buffer run in blocks of rows of about
+# 1 MB (2**17 float64), which stay in cache between the operations of a pass.
+_BLOCK_ELEMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -270,26 +272,40 @@ def _median_bandwidth(d2: np.ndarray) -> float:
     # The strict upper triangle row by row, in np.triu_indices order but
     # without its two N(N-1)/2 index arrays.
     upper = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    # np.median(upper, overwrite_input=True) without its NaN check, which
-    # imports numpy.ma inside the first call of a process, where its objects
-    # can pin the heap above later calls' N x N buffers.
+    # np.median(upper) bit for bit with one select, and without its NaN
+    # check, which imports numpy.ma inside the first call of a process, where
+    # its objects can pin the heap above later calls' N x N buffers.  The
+    # max propagates a NaN; after the select, upper[:h] holds the h smallest
+    # values, so its max is the lower middle one of an even count.
     h = upper.size // 2
-    lo = h - 1 + upper.size % 2
-    upper.partition([lo, h, -1])          # a NaN partitions last
-    med = float(upper[-1] if np.isnan(upper[-1]) else upper[lo:h + 1].mean())
+    if np.isnan(upper.max()):
+        med = np.nan
+    else:
+        upper.partition(h)
+        med = float(upper[h] if upper.size % 2 else (upper[:h].max() + upper[h]) / 2.0)
     if med <= 0:
         return 1.0
     return med / (4.0 * max(np.log(n), 1.0))
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an N x N array, about _BLOCK_ELEMS entries each."""
+    rows = max(1, _BLOCK_ELEMS // n)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clipped at 0."""
+    """|x_i - x_j|^2 as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clipped at 0.
+
+    x @ x.T is numpy's symmetric product (syrk), so the result is exactly
+    symmetric; it is the only N x N array the function allocates.
+    """
     sq = np.sum(x * x, axis=1)
-    d2 = np.add.outer(sq, sq)
-    gram = x @ x.T
-    gram *= 2.0
-    d2 -= gram
-    np.maximum(d2, 0.0, out=d2)
+    d2 = x @ x.T
+    d2 *= 2.0
+    for blk in _row_blocks(x.shape[0]):
+        np.subtract(np.add.outer(sq[blk], sq), d2[blk], out=d2[blk])
+        np.maximum(d2[blk], 0.0, out=d2[blk])
     return d2
 
 
@@ -379,10 +395,11 @@ def diffusion_map_gain(
     fixed-point problem per component.
 
     Memory: the distances, g, k and T are built in place in one N x N
-    buffer, which ``state.transition`` holds.  A call peaks at two N x N
-    float64 arrays while the distances are built; the normaliser is applied
-    in row blocks, and the solve holds only T and a few N x m vectors (no
-    pinned matrix, no LAPACK copy).
+    buffer, which ``state.transition`` holds; every elementwise stage runs
+    over it in row blocks of about 1 MB.  With eps ``"auto"`` a call peaks
+    at 1.5 N x N float64 arrays, T and the upper triangle whose median sets
+    the bandwidth; with a numeric eps at T plus one block.  The solve holds
+    only T and a few N x m vectors (no pinned matrix, no LAPACK copy).
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
@@ -399,10 +416,14 @@ def diffusion_map_gain(
     # d2, then g, then k, then T, each overwriting the last in one buffer.
     T = _pairwise_sq_dists(x)
     eps = _median_bandwidth(T) if auto else float(eps)
-    np.negative(T, out=T)
-    T /= 4.0 * eps
-    np.exp(T, out=T)
-    row = T.sum(axis=1)
+    blocks = _row_blocks(n)
+    # g = exp(-d2 / (4 eps)) and its row sums; d2 / -(4 eps) has the bits of
+    # -d2 / (4 eps)
+    row = np.empty(n)
+    for blk in blocks:
+        np.divide(T[blk], -(4.0 * eps), out=T[blk])
+        np.exp(T[blk], out=T[blk])
+        T[blk].sum(axis=1, out=row[blk])
     # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but a row
     # whose off-diagonal mass underflows becomes an identity row of T, which
     # silently zeroes that particle's gain (and leaves the fixed point
@@ -418,13 +439,15 @@ def diffusion_map_gain(
             f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
             f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
-    for lo in range(0, n, _NORM_ROWS):
-        norm = np.outer(row[lo:lo + _NORM_ROWS], row)
+    # k = g / sqrt(row_i row_j), its row sums deg, then T = k / deg_i
+    deg = np.empty(n)
+    for blk in blocks:
+        norm = np.outer(row[blk], row)
         np.sqrt(norm, out=norm)
-        T[lo:lo + _NORM_ROWS] /= norm
-    del norm
-    deg = T.sum(axis=1)
-    T /= deg[:, None]
+        T[blk] /= norm
+        T[blk].sum(axis=1, out=deg[blk])
+        T[blk] /= deg[blk, None]
+        del norm                       # before the next block's is made
     pi = deg / deg.sum()
 
     hbar = pi @ h                                  # (m,)

@@ -533,6 +533,19 @@ class TestCli:
         # a negative sample count used to draw nothing and exit 0
         ["static-update", "--cov-x", "[[1]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[1]]",
          "--y", "[1]", "--samples", "-3"],
+        # no methods: used to write a header-only table and exit 0
+        ["bench", "--experiment", "mse-levelsets", "--methods", "", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        # repeated entries: used to write rows whose keys repeat
+        ["bench", "--experiment", "mse-levelsets", "--methods", "pf,pf", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        ["bench", "--experiment", "mse-levelsets", "--reps", "2", "--n-list", "20,20",
+         "--d-list", "1"],
+        ["bench", "--experiment", "mse-levelsets", "--reps", "2", "--n-list", "10",
+         "--d-list", "1,2,1"],
+        ["bench", "--experiment", "bias-variance", "--eps-list", "0.1,0.1", "--reps", "2",
+         "--n-list", "20"],
+        ["gain-study", "--eps-list", "0.1,0.1", "--reps", "2", "--n-list", "20"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -639,11 +652,18 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
          "cov_xy"),
         ("static-update", "cov_x = [[1.0]]\ncov_xy = [[0.5]]\ncov_y = [[1.0]]\ny = [0.2]\n"
                           "mean_x = true\n", "mean_x"),
+        ("bench", "experiment = mse-levelsets\nmethods = []\n", "methods"),
+        ("bench", "experiment = mse-levelsets\nmethods = [\"fpf\", \"pf\", \"fpf\"]\n",
+         "methods"),
+        ("bench", "experiment = mse-levelsets\nn_list = [20, 20]\n", "n_list"),
+        ("bench", "experiment = mse-levelsets\nd_list = [1, 1]\n", "d_list"),
+        ("bench", "experiment = bias-variance\neps_list = [0.1, 0.1]\n", "eps_list"),
     ], ids=["bench-reps-abc", "lqr-oracle-only-False", "lqr-oracle-only-1",
             "bench-reps-list", "lqr-seed-null", "filter-n-fraction", "filter-dt-bool",
             "bench-n-list-null", "static-update-samples-abc", "static-update-y-bool",
             "static-update-cov-x-bool", "static-update-cov-xy-bool",
-            "static-update-mean-x-bool"])
+            "static-update-mean-x-bool", "bench-methods-empty", "bench-methods-repeated",
+            "bench-n-list-repeated", "bench-d-list-repeated", "bench-eps-list-repeated"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, sub, text, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[run]\n" + text)
@@ -711,6 +731,15 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
             main([sub, "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_cached_parser_runs_the_current_handler(self, monkeypatch):
+        # the parser is built once per process; the handler is looked up at
+        # each call, so a wrapped cmd_* (as the benchmark tracer installs) runs
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_filter", lambda args: seen.append(args.method) or 0)
+        assert main(["filter", "--method", "kalman"]) == 0
+        assert seen == ["kalman"]
 
     def test_unreadable_config_exits_2(self, capsys):
         assert main(["bench", "--config", "/nonexistent.ini"]) == 2

@@ -442,18 +442,21 @@ class TestDiffusionMapGain:
         np.testing.assert_array_equal(T, state.transition)
 
     def test_traced_peak_two_arrays(self):
-        # the distances and the Gram matrix while d2 is built; the solve
-        # holds only T (the dense reference peaked at about 6 N^2)
+        # with eps "auto", T and the upper triangle the median selects in
+        # (1.5 N^2); with a numeric eps, T and one row block of about 1 MB
+        # (1.13 N^2 at N = 1000).  The solve holds only T (the dense
+        # reference peaked at about 6 N^2)
         n = 1000
         x = RngStream(21).standard_normal((n, 2))
-        diffusion_map_gain(x, x[:, :1], "auto")
-        tracemalloc.start()
-        try:
-            diffusion_map_gain(x, x[:, :1], "auto")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
+        for eps, bound in (("auto", 1.6), (0.3, 1.25)):
+            diffusion_map_gain(x, x[:, :1], eps)
+            tracemalloc.start()
+            try:
+                diffusion_map_gain(x, x[:, :1], eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * n * n * 8, eps
 
     def test_auto_bandwidth_positive(self):
         x = make_bimodal(0.2).sample(RngStream(3), 50)
@@ -478,6 +481,30 @@ class TestDiffusionMapGain:
         expected = 1.0 if med <= 0 else med / (4.0 * max(np.log(n), 1.0))
         got = gain._median_bandwidth(d2)
         assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    @pytest.mark.parametrize("n, decimals", [(500, None), (502, 1), (1000, 1), (1000, None)])
+    def test_auto_bandwidth_is_the_numpy_median_rule_large(self, n, decimals):
+        # the single-kth select at sizes past the hypothesis cases: even
+        # (500, 1000) and odd (502) pair counts, ties (points on a coarse
+        # grid) and a NaN
+        x = RngStream(n).standard_normal((n, 2))
+        if decimals is not None:
+            x = np.round(x, decimals)
+        d2 = gain._pairwise_sq_dists(x)
+        for nan in (False, True):
+            if nan:
+                d2[n // 3, n - 1] = np.nan
+            med = np.median(d2[np.triu_indices(n, 1)])
+            expected = med / (4.0 * np.log(n))
+            got = gain._median_bandwidth(d2)
+            assert got == expected or (nan and np.isnan(got) and np.isnan(expected))
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (131, 3), (1000, 2), (2000, 1)])
+    def test_pairwise_sq_dists_exactly_symmetric(self, n, d):
+        # one row block or several, the last one partial at N = 2000
+        x = RngStream(n + d).standard_normal((n, d))
+        d2 = gain._pairwise_sq_dists(x)
+        np.testing.assert_array_equal(d2, d2.T)
 
     def test_auto_bandwidth_loads_no_numpy_ma(self):
         # np.median imports numpy.ma; loaded inside a timed gain call, its
