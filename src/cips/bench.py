@@ -19,7 +19,6 @@ bit-identical whether cells run sequentially or on a worker pool.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,9 +156,15 @@ def table_metadata(seed: int, schema: str, config: str) -> dict[str, str]:
 
 
 def _map_ordered(func, args_list, jobs: int):
-    """Apply ``func`` over argument tuples, in order; pool when jobs > 1."""
+    """Apply ``func`` over argument tuples, in order; pool when jobs > 1.
+
+    The pool module is imported only here, so that a serial run (and
+    ``import cips``) does not load it.
+    """
     if jobs <= 1 or len(args_list) <= 1:
         return [func(*args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, *zip(*args_list)))
 
@@ -272,140 +277,6 @@ def static_fpf_mse(
     return mse, stderr
 
 
-def modified_pf_conditional_moments(
-    z: np.ndarray, sigma0: float, sigma_w: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-coordinate moments E[u], E[u X], E[u X^2] of u = g(X; z)^2.
-
-    g(x; z) = exp(-(z - x)^2 / (2 sigma_w^2)) / D(z) is the per-coordinate
-    exact-denominator weight kernel and X ~ N(0, sigma0^2).  Closed-form
-    Gaussian algebra; vectorized over ``z``.
-    """
-    z = np.asarray(z, dtype=float)
-    s2 = sigma0**2 + sigma_w**2
-    prec = 1.0 / sigma_w**2 + 1.0 / (2.0 * sigma0**2)
-    var = 1.0 / (2.0 * prec)
-    mean = 2.0 * var * z / sigma_w**2
-    d2_inv = (s2 / sigma_w**2) * np.exp(z**2 / s2)
-    norm = (
-        np.sqrt(2.0 * np.pi * var)
-        * np.exp(-(z**2) / sigma_w**2 + mean**2 / (2.0 * var))
-        / np.sqrt(2.0 * np.pi * sigma0**2)
-    ) * d2_inv
-    return norm, norm * mean, norm * (var + mean**2)
-
-
-def modified_pf_conditional_var(
-    z: np.ndarray, sigma0: float, sigma_w: float
-) -> float | np.ndarray:
-    """Conditional variance of one weight-times-f term given Z_1 = z.
-
-    For f(x) = 1^T x / sqrt(d) the estimator error given z is the mean of N
-    i.i.d. copies of xi = N W-bar f(X), so the conditional MSE is exactly
-    this value divided by N.  ``z`` is one point ``(d,)``, giving a float,
-    or a batch ``(K, d)``, giving the ``(K,)`` values row by row.
-    """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim <= 1
-    z = np.atleast_2d(z)
-    d = z.shape[1]
-    m0, m1, m2 = modified_pf_conditional_moments(z, sigma0, sigma_w)
-    prod = np.prod(m0, axis=1)
-    ratio1 = m1 / m0
-    second = np.sum(m2 / m0, axis=1) + np.sum(ratio1, axis=1) ** 2 - np.sum(ratio1**2, axis=1)
-    gain = sigma0**2 / (sigma0**2 + sigma_w**2)
-    var = prod * second / d - (gain * np.sum(z, axis=1) / np.sqrt(d)) ** 2
-    return float(var[0]) if single else var
-
-
-def modified_pf_mse_exact(
-    d: int,
-    num_particles: int,
-    sigma0: float = 1.0,
-    sigma_w: float = 1.0,
-    num_nodes: int = 48,
-) -> float:
-    """Exact MSE of the exact-denominator estimator via 1-D quadrature.
-
-    Averaging the conditional variance over the observation marginal
-    factorizes into one-dimensional Gaussian integrals of the closed-form
-    moments, so the d-dimensional expectation reduces to a product formula.
-    """
-    t, wq = np.polynomial.hermite_e.hermegauss(num_nodes)
-    z = np.sqrt(sigma0**2 + sigma_w**2) * t
-    w1 = wq / np.sqrt(2.0 * np.pi)
-    m0, m1, m2 = modified_pf_conditional_moments(z, sigma0, sigma_w)
-    a0, a1, a2 = float(w1 @ m0), float(w1 @ m1), float(w1 @ m2)
-    gain = sigma0**2 / (sigma0**2 + sigma_w**2)
-    second = a2 * a0 ** (d - 1) + (d - 1) * a1**2 * a0 ** max(d - 2, 0)
-    return (second - gain**2 * (sigma0**2 + sigma_w**2)) / num_particles
-
-
-def static_modified_pf_mse_hybrid(
-    d: int,
-    num_particles: int,
-    rng: RngStream,
-    total_runs: int = 2000,
-    nodes_per_dim: int | None = None,
-    radius_cut: float = 4.2,
-    sigma0: float = 1.0,
-    sigma_w: float = 1.0,
-) -> tuple[float, float]:
-    """MSE measurement for the exact-denominator estimator; returns
-    (mse, fraction of the MSE that was measured by estimator runs).
-
-    A plain replicate average cannot measure this estimator's MSE: the
-    squared error has tail index 3/2 in the observation (most of the
-    expectation sits on |Z_1| events of probability ~1e-4 whose conditional
-    error is in turn carried by sample draws that essentially never occur),
-    so any practical replicate count under-reads by tens of percent.  This
-    routine therefore stratifies the observation marginal on a deterministic
-    Gauss-Hermite product grid, runs the estimator ``total_runs`` times
-    allocated over the nodes inside ``radius_cut`` (where conditional
-    Monte-Carlo is well-behaved), and completes the remaining tail strata
-    with the closed-form conditional variance (verified independently
-    against numerical quadrature in the test suite).
-    """
-    from itertools import product as iproduct
-
-    if nodes_per_dim is None:
-        nodes_per_dim = 16 if d <= 3 else 8
-    t_nodes, t_weights = np.polynomial.hermite_e.hermegauss(nodes_per_dim)
-    scale = np.sqrt(sigma0**2 + sigma_w**2)
-    w1 = t_weights / np.sqrt(2.0 * np.pi)
-    combos = np.array(list(iproduct(range(nodes_per_dim), repeat=d)))
-    z_nodes = scale * t_nodes[combos]
-    weights = np.prod(w1[combos], axis=1)
-    cond = modified_pf_conditional_var(z_nodes, sigma0, sigma_w)
-
-    total_exact = modified_pf_mse_exact(d, num_particles, sigma0, sigma_w)
-    bulk = np.linalg.norm(z_nodes, axis=1) <= radius_cut
-    contrib = weights * cond
-    bulk_idx = np.flatnonzero(bulk)
-    # Allocate estimator runs across bulk nodes proportionally to their
-    # share of the integral, at least one run each.
-    share = contrib[bulk_idx] / contrib[bulk_idx].sum()
-    runs = np.maximum((share * total_runs).astype(int), 1)
-
-    a = _unit_direction(d)
-    gain = sigma0**2 / (sigma0**2 + sigma_w**2)
-    measured_bulk = 0.0
-    for j, idx in enumerate(bulk_idx):
-        k = int(runs[j])
-        sub = rng.substream(int(idx))
-        samples = sigma0 * sub.standard_normal((k, num_particles, d))
-        z = np.broadcast_to(z_nodes[idx], (k, d))
-        w = modified_weights(samples, z, sigma0, sigma_w)
-        est = np.sum(w * (samples @ a), axis=1)
-        sq = (est - gain * (z @ a)) ** 2
-        measured_bulk += weights[idx] * float(sq.mean())
-    bulk_oracle = float(contrib[bulk_idx].sum()) / num_particles
-    tail_oracle = total_exact - bulk_oracle
-    mse = measured_bulk + tail_oracle
-    measured_fraction = bulk_oracle / total_exact if total_exact > 0 else 0.0
-    return float(mse), float(measured_fraction)
-
-
 def static_method_mse(
     method: str,
     d: int,
@@ -466,22 +337,20 @@ def diffusion_map_mse_once(
     num_particles: int,
     eps: float,
     rng: RngStream,
-    exact_grid: tuple[np.ndarray, np.ndarray] | None = None,
+    exact_grid: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """Single-replicate estimate of (1/N) sum_i |K^i - K(X^i)|^2.
 
     The observed function is h(x) = x_1, for which the exact gain of the
-    product density reduces to the scalar problem in the first coordinate.
+    product density reduces to the scalar problem in the first coordinate;
+    it is read off ``exact_grid``, the table of :func:`exact_gain_table`.
     """
     x = sample_product_density(density, d, rng, num_particles)
     h = x[:, 0]
     field_, _ = diffusion_map_gain(x, h, eps)
     gains = field_.per_particle(num_particles)[:, :, 0]    # (N, d)
-    if exact_grid is None:
-        exact_first = exact_gain_1d(density, lambda y: y, x[:, 0])
-    else:
-        grid, vals = exact_grid
-        exact_first = np.interp(x[:, 0], grid, vals)
+    grid, vals = exact_grid
+    exact_first = np.interp(x[:, 0], grid, vals)
     diff = gains.copy()
     diff[:, 0] -= exact_first
     return float(np.mean(np.sum(diff * diff, axis=1)))
@@ -505,20 +374,26 @@ def _bias_variance_cell(seed, di, d, ni, n, ei, eps, reps, sigma2, grid, vals):
     return (eps, n, d, float(per_rep.mean()), stderr), per_rep
 
 
-def bench_bias_variance(cfg: RunConfig) -> ResultTable:
-    """Diffusion-map gain MSE over the (eps, N, d) grid."""
+def _bias_variance_cells(cfg: RunConfig, d_list: tuple[int, ...]) -> list:
+    """Every (d, N, eps) cell of the diffusion-map study, in that order.
+
+    Each result is the summary row and the per-replicate MSEs.
+    """
     if not cfg.eps_list:
-        raise ConfigError("bias-variance experiment needs a nonempty eps list")
-    density = make_bimodal(cfg.bimodal_sigma2)
-    grid, vals = exact_gain_table(density)
+        raise ConfigError("the diffusion-map study needs a nonempty eps list")
+    grid, vals = exact_gain_table(make_bimodal(cfg.bimodal_sigma2))
     args = [
         (cfg.seed, di, d, ni, n, ei, eps, cfg.reps, cfg.bimodal_sigma2, grid, vals)
-        for di, d in enumerate(cfg.d_list)
+        for di, d in enumerate(d_list)
         for ni, n in enumerate(cfg.n_list)
         for ei, eps in enumerate(cfg.eps_list)
     ]
-    results = _map_ordered(_bias_variance_cell, args, cfg.jobs)
-    rows = [row for row, _ in results]
+    return _map_ordered(_bias_variance_cell, args, cfg.jobs)
+
+
+def bench_bias_variance(cfg: RunConfig) -> ResultTable:
+    """Diffusion-map gain MSE over the (eps, N, d) grid."""
+    rows = [row for row, _ in _bias_variance_cells(cfg, cfg.d_list)]
     return ResultTable(
         columns=("eps", "N", "d", "mse", "stderr"),
         rows=rows,
@@ -527,20 +402,9 @@ def bench_bias_variance(cfg: RunConfig) -> ResultTable:
 
 
 def gain_study_table(cfg: RunConfig) -> ResultTable:
-    """Per-replicate diffusion-map MSE rows (eps, N, rep, mse)."""
-    if not cfg.eps_list:
-        raise ConfigError("gain study needs a nonempty eps list")
-    density = make_bimodal(cfg.bimodal_sigma2)
-    grid, vals = exact_gain_table(density)
-    d = cfg.d_list[0]
-    args = [
-        (cfg.seed, 0, d, ni, n, ei, eps, cfg.reps, cfg.bimodal_sigma2, grid, vals)
-        for ni, n in enumerate(cfg.n_list)
-        for ei, eps in enumerate(cfg.eps_list)
-    ]
-    results = _map_ordered(_bias_variance_cell, args, cfg.jobs)
+    """Per-replicate diffusion-map MSE rows (eps, N, rep, mse), at the first d."""
     rows = []
-    for (eps, n, _d, _mse, _se), per_rep in results:
+    for (eps, n, _d, _mse, _se), per_rep in _bias_variance_cells(cfg, cfg.d_list[:1]):
         rows.extend((eps, n, r, float(v)) for r, v in enumerate(per_rep))
     return ResultTable(
         columns=("eps", "N", "rep", "mse"),

@@ -107,36 +107,6 @@ def extract_gain(st: Ensemble, lq: LQProblem, ops: _LQOps | None = None) -> np.n
     return -np.linalg.solve(lq.R, ops.B.T @ value_matrix(st))
 
 
-def hamiltonian(st: Ensemble, x: np.ndarray, alpha: np.ndarray, lq: LQProblem) -> float:
-    """Ensemble Hamiltonian |c(x)|^2/2 + a^T R a/2 + x^T P^(N) f(x, a)."""
-    x = np.asarray(x, dtype=float)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    cx = np.asarray(lq.cost_output(x), dtype=float)
-    costate = value_matrix(st) @ x
-    return float(
-        0.5 * cx @ cx + 0.5 * alpha @ lq.R @ alpha
-        + costate @ np.asarray(lq.dynamics(x, alpha), dtype=float)
-    )
-
-
-def hamiltonian_policy(st: Ensemble, x: np.ndarray, lq: LQProblem) -> np.ndarray:
-    """Control minimizing the ensemble Hamiltonian at state x.
-
-    The Hamiltonian is quadratic in the control with known Hessian R, so
-    m + 1 oracle queries recover the linear coefficient exactly:
-    g_j = H(x, e_j) - H(x, 0) - R_jj / 2 and the minimizer is -R^{-1} g.
-    """
-    x = np.asarray(x, dtype=float)
-    m = lq.dim_input
-    h0 = hamiltonian(st, x, np.zeros(m), lq)
-    g = np.empty(m)
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        g[j] = hamiltonian(st, x, ej, lq) - h0 - 0.5 * lq.R[j, j]
-    return -np.linalg.solve(lq.R, g)
-
-
 @dataclass(frozen=True)
 class DualEnkfRun:
     """Gain and empirical-covariance paths from one backward sweep."""

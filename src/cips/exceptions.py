@@ -27,7 +27,8 @@ class WeightCollapseError(NumericError):
 
 class GainSolveError(NumericError):
     """Gain-function approximation failed (singular system, bad bandwidth,
-    isolated particles, a fixed-point solve that did not converge)."""
+    isolated particles, a kernel graph in several parts, a fixed-point solve
+    that did not converge)."""
 
 
 class ConvergenceError(NumericError):

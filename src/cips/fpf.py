@@ -108,14 +108,6 @@ def fpf_step(
     return Ensemble(particles=x_new, time=ens.time + dt)
 
 
-def fpf_estimate(ens: Ensemble, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Unweighted particle average (1/N) sum_i f(X^i)."""
-    vals = np.asarray(f(ens.particles), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("f is nonfinite on the ensemble")
-    return float(vals.mean())
-
-
 @dataclass(frozen=True)
 class FilterRun:
     """Per-step first and second moments plus the final state."""

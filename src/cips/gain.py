@@ -118,48 +118,6 @@ def coordinate_basis(dim: int) -> BasisSet:
     return basis
 
 
-def polynomial_basis_1d(degrees: Sequence[int]) -> BasisSet:
-    """Monomials x^k (k >= 1) on the real line, as a basis for d = 1."""
-
-    def make(k):
-        if k < 1:
-            raise ValueError("degrees must be >= 1 (constants have zero gradient)")
-
-        def func(x):
-            return x[:, 0] ** k
-
-        def grad(x):
-            return (k * x[:, 0] ** (k - 1))[:, None]
-
-        return func, grad
-
-    funcs, grads = zip(*(make(k) for k in degrees))
-    basis = BasisSet(functions=list(funcs), gradients=list(grads))
-    basis.validate(1)
-    return basis
-
-
-def gaussian_bump_basis_1d(centers: Sequence[float], width: float) -> BasisSet:
-    """Gaussian bumps exp(-(x - c)^2 / (2 w^2)) for d = 1."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-
-    def make(c):
-        def func(x):
-            return np.exp(-((x[:, 0] - c) ** 2) / (2 * width**2))
-
-        def grad(x):
-            val = np.exp(-((x[:, 0] - c) ** 2) / (2 * width**2))
-            return (-(x[:, 0] - c) / width**2 * val)[:, None]
-
-        return func, grad
-
-    funcs, grads = zip(*(make(c) for c in centers))
-    basis = BasisSet(functions=list(funcs), gradients=list(grads))
-    basis.validate(1)
-    return basis
-
-
 def constant_gain(particles: np.ndarray, h_values: np.ndarray) -> GainField:
     """Expected-gain approximation: empirical state/observation cross-covariance.
 
@@ -222,28 +180,6 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
     return GainField(values=values, constant=False)
 
 
-def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
-                        basis: BasisSet, theta: np.ndarray) -> np.ndarray:
-    """Empirical variational objective J^(N)(f_theta), one value per obs component."""
-    x = _as_matrix(particles)
-    h = _as_matrix(h_values)
-    n = x.shape[0]
-    grads = basis.evaluate_gradients(x)
-    psi = basis.evaluate(x)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 1:
-        theta = theta[:, None]
-    grad_f = np.einsum("nmd,mj->ndj", grads, theta)
-    f_val = psi @ theta
-    centered = h - h.mean(axis=0)
-    quad = 0.5 * np.einsum("ndj,ndj->j", grad_f, grad_f) / n
-    lin = np.einsum("nj,nj->j", f_val, centered) / n
-    return quad - lin
-
-
-# The diffusion-map fixed point is solved by conjugate gradients until the
-# normwise backward error falls to CG_RTOL; reaching CG_MAXITER iterations
-# first raises GainSolveError.
 CG_RTOL = 1e-14
 CG_MAXITER = 1000
 # Elementwise passes over an N x N buffer run in blocks of rows of about
@@ -307,6 +243,33 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
         np.subtract(np.add.outer(sq[blk], sq), d2[blk], out=d2[blk])
         np.maximum(d2[blk], 0.0, out=d2[blk])
     return d2
+
+
+def _component_sizes(T: np.ndarray) -> list[int]:
+    """Sizes of the connected components of the graph T_ij > 0, in order found.
+
+    Breadth-first search that reads the rows of the frontier in blocks of
+    about _BLOCK_ELEMS entries; each row is read at most once, and the
+    search stops as soon as every particle is labelled, so a connected
+    kernel usually costs one row.
+    """
+    n = T.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    rows = max(1, _BLOCK_ELEMS // n)
+    sizes: list[int] = []
+    while sum(sizes) < n:
+        frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        size = 1
+        while frontier.size and sum(sizes) + size < n:
+            reached = np.zeros(n, dtype=bool)
+            for lo in range(0, frontier.size, rows):
+                reached |= (T[frontier[lo:lo + rows]] > 0.0).any(axis=0)
+            frontier = np.flatnonzero(reached & ~seen)
+            seen[frontier] = True
+            size += frontier.size
+        sizes.append(size)
+    return sizes
 
 
 def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
@@ -392,7 +355,9 @@ def diffusion_map_gain(
 
     with r = Phi + eps h, from the one matrix product T [r | r (x) X | X]
     (N x (m + dm + d)).  Vector observations share the kernel and solve one
-    fixed-point problem per component.
+    fixed-point problem per component.  A kernel row with no off-diagonal
+    mass, or a kernel graph T_ij > 0 in several connected parts, has no
+    unique fixed point and raises ``GainSolveError``.
 
     Memory: the distances, g, k and T are built in place in one N x N
     buffer, which ``state.transition`` holds; every elementwise stage runs
@@ -448,6 +413,14 @@ def diffusion_map_gain(
         T[blk].sum(axis=1, out=deg[blk])
         T[blk] /= deg[blk, None]
         del norm                       # before the next block's is made
+    # A kernel graph in several parts leaves the fixed point without a
+    # unique solution, as an isolated particle does.
+    sizes = _component_sizes(T)
+    if len(sizes) > 1:
+        raise GainSolveError(
+            f"the kernel graph splits into {len(sizes)} components of sizes "
+            f"{sorted(sizes, reverse=True)} at eps={eps:.3e}: no unique fixed point"
+        )
     pi = deg / deg.sum()
 
     hbar = pi @ h                                  # (m,)

@@ -102,11 +102,6 @@ def control_riccati_rhs(P: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarr
     return A.T @ P + P @ A + Q - P @ G @ P
 
 
-def dual_riccati_rhs(S: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """dS/dt of the dual Riccati equation for S = P^{-1}."""
-    return A @ S + S @ A.T - G + S @ Q @ S
-
-
 def _rk4_matrix_step(X: np.ndarray, rhs, h: float) -> np.ndarray:
     # overflow on divergent problems is tolerated here; callers detect the
     # nonfinite result and raise ConvergenceError
@@ -145,17 +140,6 @@ def solve_dre_backward(lq: LQProblem, dt: float) -> RiccatiPath:
         return control_riccati_rhs(P, A, G, Q)
 
     return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
-
-
-def solve_dual_dre(lq: LQProblem, dt: float) -> RiccatiPath:
-    """Backward integration of the dual Riccati equation from S_T = P_T^{-1}."""
-    A, G, Q = riccati_weights(lq)
-
-    def rhs(S):  # d S / d tau = -(dS/dt) with tau = T - t
-        return -dual_riccati_rhs(S, A, G, Q)
-
-    S_T = symmetrize(np.linalg.inv(lq.P_T))
-    return _integrate_backward(lq, dt, S_T, rhs, "dual Riccati")
 
 
 def _matrix_sign(Z: np.ndarray, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
@@ -232,9 +216,3 @@ def solve_are(lq: LQProblem) -> np.ndarray:
             "no stabilizing Riccati solution; check stabilizability/detectability of the problem"
         )
     return P
-
-
-def lqr_gain(lq: LQProblem, P: np.ndarray) -> np.ndarray:
-    """Feedback gain -R^{-1} B^T P for a given value matrix P."""
-    _, B, _ = lq_matrices(lq)
-    return -np.linalg.solve(lq.R, B.T @ P)

@@ -17,7 +17,6 @@ from .core import RngStream, solve_with_jitter
 from .core import empirical_moments  # noqa: F401  (re-exported public name)
 from .exceptions import FilterDivergenceError
 from .fpf import Ensemble
-from .kalman import filter_riccati_rhs
 from .models import FilterModel
 
 VARIANT_TAGS = ("sqrt", "perturbed", "deterministic")
@@ -26,42 +25,6 @@ VARIANT_TAGS = ("sqrt", "perturbed", "deterministic")
 def _check_variant(variant: str) -> None:
     if variant not in VARIANT_TAGS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANT_TAGS}")
-
-
-def deviation_triple(
-    variant: str,
-    A: np.ndarray,
-    H: np.ndarray,
-    Sigma_B: np.ndarray,
-    Sigma_bar: np.ndarray,
-    obs_noise_var: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deviation dynamics (G, sigma sigma^T, sigma' sigma'^T) of a variant."""
-    _check_variant(variant)
-    HtH = H.T @ H / obs_noise_var
-    if variant == "perturbed":
-        G = A - Sigma_bar @ HtH
-        return G, Sigma_B, Sigma_bar @ HtH @ Sigma_bar
-    if variant == "sqrt":
-        G = A - 0.5 * Sigma_bar @ HtH
-        return G, Sigma_B, np.zeros_like(Sigma_B)
-    G = A - 0.5 * Sigma_bar @ HtH + 0.5 * Sigma_B @ np.linalg.inv(Sigma_bar)
-    return G, np.zeros_like(Sigma_B), np.zeros_like(Sigma_B)
-
-
-def consistency_residual(
-    variant: str,
-    A: np.ndarray,
-    H: np.ndarray,
-    Sigma_B: np.ndarray,
-    Sigma_bar: np.ndarray,
-    obs_noise_var: float = 1.0,
-) -> float:
-    """Frobenius residual of the consistency equation for a variant's triple."""
-    G, ssT, spspT = deviation_triple(variant, A, H, Sigma_B, Sigma_bar, obs_noise_var)
-    lhs = G @ Sigma_bar + Sigma_bar @ G.T + ssT + spspT
-    rhs = filter_riccati_rhs(Sigma_bar, A, H, Sigma_B, obs_noise_var)
-    return float(np.linalg.norm(lhs - rhs, "fro"))
 
 
 def linear_enkf_step(

@@ -338,15 +338,6 @@ def make_static_param(d: int, sigma0: float, sigma_w: float) -> FilterModel:
     return make_linear_gaussian(A, H, sigma_B, m0, Sigma0, obs_noise_scale=sigma_w)
 
 
-def static_posterior(sigma0: float, sigma_w: float, z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact time-1 posterior (mean, covariance) of the static model given Z_1."""
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    gain = sigma0**2 / (sigma0**2 + sigma_w**2)
-    mean = gain * z1
-    cov = (sigma0**2 * sigma_w**2) / (sigma0**2 + sigma_w**2) * np.eye(z1.shape[0])
-    return mean, cov
-
-
 def make_bimodal(sigma2: float) -> Density1D:
     """Equal-weight two-Gaussian mixture centered at -1 and +1."""
     if not (math.isfinite(sigma2) and sigma2 > 0):
@@ -423,12 +414,3 @@ def make_lq_canonical(d: int, rng: RngStream) -> LQProblem:
         B=B,
         C=C,
     )
-
-
-def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^{d-1} B] stacked column-wise."""
-    d = A.shape[0]
-    blocks = [B]
-    for _ in range(d - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)

@@ -1,4 +1,4 @@
-"""Importance-sampling baselines: static estimators and a bootstrap filter.
+"""Importance-sampling baselines: static estimator weights and a bootstrap filter.
 
 Weights are kept in the log domain throughout; the static benchmark at
 d >= 10 underflows otherwise.
@@ -7,7 +7,6 @@ d >= 10 underflows otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -57,9 +56,9 @@ def uniform_weighted(particles: np.ndarray) -> WeightedEnsemble:
     return WeightedEnsemble(particles=x, weights=np.full(n, 1.0 / n))
 
 
-def ess(wens: WeightedEnsemble) -> float:
-    """Effective sample size 1 / sum_i w_i^2, in [1, N]."""
-    return float(1.0 / np.sum(wens.weights**2))
+def ess(weights: np.ndarray) -> float:
+    """Effective sample size 1 / sum_i w_i^2 of normalized weights, in [1, N]."""
+    return float(1.0 / np.sum(weights**2))
 
 
 def _shifted_weights(logw: np.ndarray) -> np.ndarray:
@@ -88,22 +87,6 @@ def self_normalized_estimate(
     return np.sum(w * fvals, axis=-1) / np.sum(w, axis=-1)
 
 
-def static_is_estimate(
-    samples: np.ndarray,
-    z1: np.ndarray,
-    sigma_w: float,
-    f: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Self-normalized importance-sampling estimate for the static benchmark."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if sigma_w <= 0:
-        raise ValueError("sigma_w must be positive")
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    return float(self_normalized_estimate(x, z1, sigma_w, np.asarray(f(x), dtype=float)))
-
-
 def modified_weights(
     samples: np.ndarray,
     z1: np.ndarray,
@@ -127,29 +110,6 @@ def modified_weights(
         - np.sum(z1**2, axis=-1) / (2.0 * s2)
     )
     return np.exp(log_num - log_den[..., None])
-
-
-def static_is_modified(
-    samples: np.ndarray,
-    z1: np.ndarray,
-    sigma0: float,
-    sigma_w: float,
-    f: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Importance-sampling estimate with the exact normalizing denominator.
-
-    Uses :func:`modified_weights`, which needs the prior N(0, sigma0^2 I).
-    The weights are intentionally not re-normalized.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    w = modified_weights(x, z1, sigma0, sigma_w)
-    if np.all(w == 0.0):
-        raise WeightCollapseError("all modified importance weights underflowed")
-    vals = np.asarray(f(x), dtype=float)
-    return float(w @ vals)
 
 
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -201,7 +161,7 @@ def bootstrap_pf_step(
     w = _shifted_weights(logw)
     w = w / w.sum()
 
-    if 1.0 / np.sum(w**2) < resample_threshold * n:
+    if ess(w) < resample_threshold * n:
         idx = systematic_resample(w, rng)
         x_new = x_new[idx]
         w = np.full(n, 1.0 / n)

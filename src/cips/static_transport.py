@@ -1,4 +1,4 @@
-"""Static Gaussian update maps and the deterministic heat-flow transport demo.
+"""Static Gaussian update maps.
 
 Two ways to move a prior sample to the conditional law of X given Y = y in a
 jointly Gaussian model: the symmetric optimal-transport affine map and the
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, psd_factor, sym_sqrt, symmetrize
+from .core import RngStream, sample_gaussian, sym_sqrt, symmetrize
 from .exceptions import NotPositiveDefiniteError
-from .fpf import Ensemble
-from .kalman import GaussianBelief
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,7 @@ class JointGaussian:
     def sample(self, rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n joint draws; returns (x, y) with shapes (n, d) and (n, m)."""
         d = self.dim_x
-        mean = np.concatenate([self.mean_x, self.mean_y])
-        factor = psd_factor(self.joint_cov())
-        z = rng.standard_normal((n, factor.shape[1]))
-        xy = mean + z @ factor.T
+        xy = sample_gaussian(rng, np.concatenate([self.mean_x, self.mean_y]), self.joint_cov(), n)
         return xy[:, :d], xy[:, d:]
 
 
@@ -152,26 +147,3 @@ def perturbed_enkf_map(
     K = jg.gain()
     x0, y0 = jg.sample(rng, size)
     return x0 + (y - y0) @ K.T
-
-
-def heat_transport_step(
-    ens: Ensemble,
-    t: float,
-    dt: float,
-    prior: GaussianBelief,
-) -> Ensemble:
-    """Forward-Euler step of the deterministic heat-flow transport.
-
-    Particles follow dx/dt = -grad log p_t(x) where p_t = N(m0, Sigma0 + 2tI)
-    is the heat-kernel evolution of the Gaussian prior, so the velocity field
-    is (Sigma0 + 2tI)^{-1} (x - m0).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    d = ens.dim
-    spread = symmetrize(np.asarray(prior.cov, dtype=float)) + 2.0 * t * np.eye(d)
-    m0 = np.atleast_1d(np.asarray(prior.mean, dtype=float))
-    velocity = np.linalg.solve(spread, (ens.particles - m0).T).T
-    return Ensemble(particles=ens.particles + dt * velocity, time=ens.time + dt)

@@ -3,7 +3,7 @@
 Every tolerance is pinned here, not tuned at runtime.  Measurements whose
 plain Monte-Carlo estimate is statistically unreliable (the exact-denominator
 importance estimator has a heavy-tailed squared error) use the stratified
-measurement of :mod:`cips.bench`, whose closed-form ingredients are verified
+measurement of ``tests/oracles.py``, whose closed-form ingredients are verified
 against independent quadrature in this file and in test_bench_cli.py.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
@@ -13,11 +13,7 @@ criterion.
 import numpy as np
 
 from cips.core import RngStream
-from cips.bench import (
-    modified_pf_mse_exact,
-    static_fpf_mse,
-    static_modified_pf_mse_hybrid,
-)
+from cips.bench import static_fpf_mse
 from cips.dual_enkf import relative_value_mse, run_dual_enkf
 from cips.fpf import Ensemble
 from cips.gain import (
@@ -26,10 +22,8 @@ from cips.gain import (
     diffusion_map_gain,
     exact_gain_1d,
     galerkin_gain,
-    gaussian_bump_basis_1d,
-    polynomial_basis_1d,
 )
-from cips.kalman import kalman_bucy_run, solve_are, solve_dre_backward, solve_dual_dre
+from cips.kalman import kalman_bucy_run, solve_are, solve_dre_backward
 from cips.linear_ensemble import empirical_moments, linear_enkf_step
 from cips.models import (
     make_bimodal,
@@ -38,6 +32,13 @@ from cips.models import (
     simulate_truth_and_observations,
 )
 from cips.static_transport import JointGaussian, blue_update, ot_affine_map, perturbed_enkf_map
+from oracles import (
+    gaussian_bump_basis_1d,
+    modified_pf_mse_exact,
+    polynomial_basis_1d,
+    solve_dual_dre,
+    static_modified_pf_mse_hybrid,
+)
 
 
 def report(criterion: int, message: str):

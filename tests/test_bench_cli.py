@@ -15,9 +15,6 @@ from cips.bench import (
     bench_dual_enkf,
     bench_mse_levelsets,
     gain_study_table,
-    modified_pf_conditional_moments,
-    modified_pf_conditional_var,
-    modified_pf_mse_exact,
     static_fpf_mse,
     static_method_mse,
     static_pf_mse,
@@ -31,7 +28,12 @@ from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import linear_enkf_step
 from cips.fpf import Ensemble
 from cips.models import make_static_param, simulate_truth_and_observations
-from cips.sir import modified_weights, static_is_modified
+from cips.sir import modified_weights
+from oracles import (
+    modified_pf_conditional_moments,
+    modified_pf_conditional_var,
+    modified_pf_mse_exact,
+)
 
 
 class TestRunConfig:
@@ -170,7 +172,7 @@ class TestModifiedPfOracle:
         samples = rng.standard_normal((5, 50, 2))
         w = modified_weights(samples, z, 1.0, 1.0)
         for i in range(5):
-            ref = static_is_modified(samples[i], z[i], 1.0, 1.0, lambda x: x[:, 0])
+            ref = float(modified_weights(samples[i], z[i], 1.0, 1.0) @ samples[i, :, 0])
             assert float(w[i] @ samples[i, :, 0]) == pytest.approx(ref, rel=1e-12)
 
 
@@ -296,6 +298,16 @@ class TestBenchTables:
         seq = bench_bias_variance(RunConfig(**base, jobs=1))
         par = bench_bias_variance(RunConfig(**base, jobs=2))
         assert seq.to_csv() == par.to_csv()
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # the process pool's module loads inside _map_ordered when jobs > 1,
+        # not at start-up, where every command would pay for it
+        script = "import sys, cips.cli; print('concurrent.futures.process' in sys.modules)"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCli:

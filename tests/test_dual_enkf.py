@@ -10,15 +10,15 @@ from cips.dual_enkf import (
     dual_enkf_backward_step,
     dual_enkf_init,
     extract_gain,
-    hamiltonian_policy,
     relative_value_mse,
     run_dual_enkf,
     value_matrix,
 )
 from cips.exceptions import NotPositiveDefiniteError
 from cips.fpf import Ensemble
-from cips.kalman import solve_dre_backward, solve_dual_dre
+from cips.kalman import solve_dre_backward
 from cips.models import LQProblem, make_lq_canonical
+from oracles import hamiltonian_policy, solve_dual_dre
 
 
 def scalar_unit_lq(horizon=10.0):

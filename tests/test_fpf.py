@@ -6,7 +6,7 @@ import pytest
 from cips.core import RngStream, empirical_moments
 from cips.exceptions import ConfigError, FilterDivergenceError
 from cips.cli import _bandwidth
-from cips.fpf import Ensemble, fpf_estimate, fpf_step, run_filter
+from cips.fpf import Ensemble, fpf_step, run_filter
 from cips.gain import GainField, constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import linear_enkf_step
@@ -17,9 +17,9 @@ from cips.models import (
     make_linear_gaussian,
     make_static_param,
     simulate_truth_and_observations,
-    static_posterior,
 )
 from cips.sir import bootstrap_pf_step, uniform_weighted
+from oracles import static_posterior
 
 
 def fpf_from_prior(model, obs, num_particles, gain_method, rng):
@@ -119,21 +119,6 @@ class TestFpfStep:
         model = make_static_param(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             fpf_step(Ensemble(np.zeros((4, 2))), np.zeros(1), 0.1, model, constant_gain, RngStream(0))
-
-
-class TestFpfEstimate:
-    def test_normalization(self):
-        ens = Ensemble(np.array([[1.0], [2.0], [3.0]]))
-        assert fpf_estimate(ens, lambda x: np.ones(x.shape[0])) == 1.0
-
-    def test_hand_value(self):
-        ens = Ensemble(np.array([[-1.0], [0.0], [1.0]]))
-        assert fpf_estimate(ens, lambda x: x[:, 0] ** 2) == pytest.approx(2.0 / 3.0)
-
-    def test_rejects_nonfinite_values(self):
-        ens = Ensemble(np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            fpf_estimate(ens, lambda x: np.where(x[:, 0] > 0.5, np.inf, 1.0))
 
 
 class TestRunFpf:

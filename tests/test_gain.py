@@ -14,13 +14,11 @@ from cips.gain import (
     constant_gain,
     coordinate_basis,
     diffusion_map_gain,
-    empirical_objective,
     exact_gain_1d,
     galerkin_gain,
-    gaussian_bump_basis_1d,
-    polynomial_basis_1d,
 )
 from cips.models import Density1D, make_bimodal
+from oracles import empirical_objective, gaussian_bump_basis_1d, polynomial_basis_1d
 
 
 def poisson_bvp_gain_1d(density, h, grid):
@@ -380,6 +378,31 @@ class TestDiffusionMapGain:
         assert "1 of 101 particles isolated" in msg
         assert "first: particle 100" in msg
         assert ("try eps" in msg) == (eps != "auto")
+
+    @pytest.mark.parametrize("x, sizes", [
+        (np.concatenate([np.linspace(0.0, 1.0, 100), np.linspace(100.0, 101.0, 100)]), "[100, 100]"),
+        (np.array([0.0, 0.1, 100.0, 100.1]), "[2, 2]"),
+    ])
+    def test_split_kernel_graph_raises(self, x, sizes):
+        # no particle is isolated, but the graph T_ij > 0 has two parts: the
+        # fixed point has no unique solution (the gain came out near 1e5 to 1e19)
+        with pytest.raises(GainSolveError) as err:
+            diffusion_map_gain(x, x, 0.01)
+        msg = str(err.value)
+        assert f"splits into 2 components of sizes {sizes}" in msg
+        assert "eps=1.000e-02" in msg
+
+    def test_component_sizes(self, monkeypatch):
+        # a chain that links neighbours alone (exp(-400) > 0 = exp(-1600)) is
+        # one component, found over 39 levels one row per block; cut in the
+        # middle, it is two
+        monkeypatch.setattr(gain, "_BLOCK_ELEMS", 40)
+        x = np.arange(40.0)[:, None]
+        T = np.exp(-400.0 * gain._pairwise_sq_dists(x))
+        assert np.count_nonzero(T) == 40 + 2 * 39
+        assert gain._component_sizes(T) == [40]
+        T[19, 20] = T[20, 19] = 0.0
+        assert gain._component_sizes(T) == [20, 20]
 
     def test_auto_bandwidth_from_the_gain_distances(self):
         x = RngStream(4).standard_normal((80, 2))

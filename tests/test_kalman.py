@@ -10,11 +10,9 @@ from cips.kalman import (
     _integrate_backward,
     control_riccati_rhs,
     kalman_bucy_run,
-    lqr_gain,
     riccati_weights,
     solve_are,
     solve_dre_backward,
-    solve_dual_dre,
 )
 from cips.models import (
     LQProblem,
@@ -23,6 +21,7 @@ from cips.models import (
     make_lq_canonical,
     make_static_param,
 )
+from oracles import lqr_gain, solve_dual_dre
 
 
 def lq_from_matrices(A, B, C, R=None, P_T=None, horizon=10.0):

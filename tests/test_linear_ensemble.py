@@ -5,16 +5,13 @@ from cips.core import RngStream
 from cips.exceptions import NotPositiveDefiniteError
 from cips.fpf import Ensemble
 from cips.kalman import kalman_bucy_run
-from cips.linear_ensemble import (
-    consistency_residual,
-    empirical_moments,
-    linear_enkf_step,
-)
+from cips.linear_ensemble import empirical_moments, linear_enkf_step
 from cips.models import (
     make_linear_gaussian,
     make_static_param,
     simulate_truth_and_observations,
 )
+from oracles import consistency_residual
 
 STABLE_2D = dict(
     A=np.array([[-1.0, 0.5], [-0.5, -1.0]]),

@@ -6,7 +6,6 @@ from cips.core import RngStream
 from cips.models import (
     Density1D,
     ObservationPath,
-    controllability_matrix,
     grid_steps,
     lq_matrices,
     make_bimodal,
@@ -15,8 +14,8 @@ from cips.models import (
     make_static_param,
     recover_lq_matrices,
     simulate_truth_and_observations,
-    static_posterior,
 )
+from oracles import controllability_matrix, static_posterior
 
 
 class TestMakeLinearGaussian:

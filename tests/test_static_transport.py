@@ -6,14 +6,8 @@ from cips.core import RngStream
 from cips.exceptions import NotPositiveDefiniteError
 from cips.fpf import Ensemble
 from cips.kalman import GaussianBelief
-from cips.models import static_posterior
-from cips.static_transport import (
-    JointGaussian,
-    blue_update,
-    heat_transport_step,
-    ot_affine_map,
-    perturbed_enkf_map,
-)
+from cips.static_transport import JointGaussian, blue_update, ot_affine_map, perturbed_enkf_map
+from oracles import heat_transport_step, static_posterior
 
 
 def random_joint(rng, d=3, m=2):
