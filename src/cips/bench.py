@@ -5,8 +5,8 @@ Three experiments:
 * ``mse-levelsets`` -- static parameter-estimation benchmark; MSE of the
   importance-sampling estimators and the feedback-particle estimator over a
   grid of (N, d), replicated M times against the exact posterior.
-* ``bias-variance`` -- diffusion-map gain error against the exact integral
-  formula over (eps, N, d) for the bimodal-times-Gaussian product density.
+* ``bias-variance`` -- diffusion-map gain error against the closed-form exact
+  gain over (eps, N, d) for the bimodal-times-Gaussian product density.
 * ``dual-enkf`` -- backward ensemble LQ solver against the Riccati oracle
   over (d, N), with closed-loop spectral abscissa per replicate.
 
@@ -359,7 +359,7 @@ def diffusion_map_mse_once(
 def exact_gain_table(density: Density1D) -> tuple[np.ndarray, np.ndarray]:
     """Dense exact-gain lookup used to score many replicates cheaply."""
     grid = density.support_grid(num_points=4001, num_sigmas=7.5)
-    vals = exact_gain_1d(density, lambda y: y, grid)
+    vals = exact_gain_1d(density, grid)
     return grid, vals
 
 

@@ -72,7 +72,7 @@ def dual_enkf_backward_step(
     Y^i <- Y^i - [A Y^i + S^(N) C^T C (Y^i + n^(N)) / 2] dt - B xi^i with
     exploration noise xi^i ~ N(0, R^{-1} dt) i.i.d. across particles.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     ops = ops or _LQOps(lq)
     y = st.particles

@@ -72,7 +72,7 @@ def fpf_step(
     rng: RngStream,
 ) -> Ensemble:
     """One Euler step of the finite-N feedback particle filter."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     dz = np.atleast_1d(np.asarray(dz, dtype=float))
     if dz.shape != (model.dim_obs,):

@@ -6,12 +6,13 @@ probability-weighted Poisson equation
     -(1/rho) div(rho grad phi) = h - hbar,        hbar = E_rho[h],
 
 with one scalar equation per observation component.  Three approximations
-are provided (constant gain, Galerkin on a basis, diffusion map), plus an
-exact integral-formula solver in one dimension used as ground truth.
+are provided (constant gain, Galerkin on a basis, diffusion map), plus the
+exact 1-D gain for h(x) = x on a Gaussian mixture, in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -183,8 +184,10 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
 CG_RTOL = 1e-14
 CG_MAXITER = 1000
 # Elementwise passes over an N x N buffer run in blocks of rows of about
-# 1 MB (2**17 float64), which stay in cache between the operations of a pass.
-_BLOCK_ELEMS = 2**17
+# 128 KB (2**14 float64), which stay in cache between the operations of a
+# pass and well below the N x N buffer, so glibc reuses the freed heap on the
+# next call instead of trimming it (1 MB blocks: ~125 page faults a call at N=200).
+_BLOCK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -361,7 +364,7 @@ def diffusion_map_gain(
 
     Memory: the distances, g, k and T are built in place in one N x N
     buffer, which ``state.transition`` holds; every elementwise stage runs
-    over it in row blocks of about 1 MB.  With eps ``"auto"`` a call peaks
+    over it in row blocks of about 128 KB.  With eps ``"auto"`` a call peaks
     at 1.5 N x N float64 arrays, T and the upper triangle whose median sets
     the bandwidth; with a numeric eps at T plus one block.  The solve holds
     only T and a few N x m vectors (no pinned matrix, no LAPACK copy).
@@ -437,50 +440,26 @@ def diffusion_map_gain(
     return field, state
 
 
-def exact_gain_1d(
-    density: Density1D,
-    h: Callable[[np.ndarray], np.ndarray],
-    x_points: np.ndarray,
-    num_grid: int = 4001,
-    max_refinements: int = 6,
-    rel_tol: float = 1e-8,
-) -> np.ndarray:
-    """Exact scalar gain by the integral formula.
+# The standard library's erfc, element-wise, so cips needs numpy alone at run time.
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
-    K(x) = (1/rho(x)) * int_{-inf}^x (hbar - h(y)) rho(y) dy is the unique
-    decaying solution of -(rho K)' = (h - hbar) rho.  Quadrature uses the
-    trapezoid rule on a grid spanning 8 mixture standard deviations, refined
-    until the values at ``x_points`` stabilize.
+
+def exact_gain_1d(density: Density1D, x_points: np.ndarray) -> np.ndarray:
+    """Exact scalar gain for h(x) = x on a Gaussian mixture, in closed form.
+
+    K(x) = (1/rho(x)) int_{-inf}^x (hbar - y) rho(y) dy solves
+    -(rho K)' = (x - hbar) rho.  With z_k = (x - mu_k) / sigma_k it is
+    sum_k w_k [sigma_k phi(z_k) + (hbar - mu_k) Phi(z_k)] / rho(x); right of
+    hbar the equal form with -(hbar - mu_k) Phi(-z_k) integrates the other
+    tail.  Phi comes from erfc, accurate in both tails (1 + erf cancels).
     """
-    x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
-    prev = None
-    for level in range(max_refinements):
-        grid = density.support_grid(num_points=num_grid * 2**level - (2**level - 1))
-        if x_points.min() < grid[0] or x_points.max() > grid[-1]:
-            raise ValueError("query points fall outside the supported density grid")
-        rho = density.pdf(grid)
-        hg = np.asarray(h(grid), dtype=float)
-        steps = np.diff(grid)
-        trap = np.zeros_like(grid)
-        trap[:-1] += 0.5 * steps
-        trap[1:] += 0.5 * steps
-        hbar = float((hg * rho) @ trap) / float(rho @ trap)
-        increments = 0.5 * ((hbar - hg[1:]) * rho[1:] + (hbar - hg[:-1]) * rho[:-1]) * steps
-        # Cumulate from the nearer edge on each half so that truncation and
-        # round-off stay proportional to the local tail mass (a left-only
-        # cumulation leaves an O(eps) residue that explodes after dividing
-        # by the vanishing right-tail density).
-        cum_left = np.concatenate([[0.0], np.cumsum(increments)])
-        cum_right = np.concatenate([np.cumsum(increments[::-1])[::-1], [0.0]])
-        mid = 0.5 * (grid[0] + grid[-1])
-        cum = np.where(grid <= mid, cum_left, -cum_right)
-        rho_at = density.pdf(x_points)
-        if np.any(rho_at < 1e-300):
-            raise ValueError("density underflows (< 1e-300) at a query point")
-        vals = np.interp(x_points, grid, cum) / rho_at
-        if prev is not None:
-            scale = max(np.abs(vals).max(), 1.0)
-            if np.abs(vals - prev).max() <= rel_tol * scale:
-                return vals
-        prev = vals
-    return prev
+    x = np.atleast_1d(np.asarray(x_points, dtype=float))
+    rho = density.pdf(x)
+    if np.any(rho < 1e-300):
+        raise ValueError("density underflows (< 1e-300) at a query point")
+    sd = np.sqrt(density.variances)
+    z = (x[:, None] - density.means) / sd
+    side = np.where(x <= density.mean(), -1.0, 1.0)[:, None]
+    tail = 0.5 * _erfc(side * z / np.sqrt(2.0))     # Phi(z) left, Phi(-z) right
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return (sd * phi - side * (density.mean() - density.means) * tail) @ density.weights / rho

@@ -46,7 +46,7 @@ def linear_enkf_step(
     _check_variant(variant)
     if model.linear is None:
         raise ValueError("linear_enkf_step requires a model with a linear descriptor")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     spec = model.linear
     A, H, sigma_B = spec.A, spec.H, spec.sigma_B

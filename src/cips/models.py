@@ -23,9 +23,6 @@ import numpy as np
 from .core import RngStream, is_positive_definite, symmetrize
 from .exceptions import FilterDivergenceError
 
-# The standard library's erf, element-wise, so cips needs numpy alone at run time.
-_erf = np.vectorize(math.erf, otypes=[float])
-
 
 def grid_steps(span: float, dt: float) -> int:
     """Number of steps of size ``dt`` that make up ``span``; it must be whole.
@@ -98,7 +95,7 @@ class ObservationPath:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not np.all(np.isfinite(self.increments)):
             raise ValueError("observation increments must be finite")
@@ -131,7 +128,10 @@ class Density1D:
 
     def __post_init__(self):
         for name in ("means", "variances", "weights"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"mixture {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if np.any(self.variances <= 0):
             raise ValueError("mixture variances must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0):
@@ -142,11 +142,6 @@ class Density1D:
         z = (x[..., None] - self.means) ** 2 / (2.0 * self.variances)
         comps = np.exp(-z) / np.sqrt(2.0 * np.pi * self.variances)
         return comps @ self.weights
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.means) / np.sqrt(2.0 * self.variances)
-        return (0.5 * (1.0 + _erf(z))) @ self.weights
 
     def mean(self) -> float:
         return float(self.weights @ self.means)

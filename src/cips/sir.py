@@ -139,7 +139,7 @@ def bootstrap_pf_step(
     Girsanov increment (h . dZ - |h|^2 dt / 2) / sigma_w^2, and systematic
     resampling triggers when ESS < threshold * N.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     x = wens.particles
     n = x.shape[0]

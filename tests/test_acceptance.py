@@ -236,7 +236,7 @@ def _dm_mse(density, exact_table, n, eps, rng):
 def test_criterion_6_diffusion_map_properties():
     density = make_bimodal(0.2)
     grid = density.support_grid(4001, num_sigmas=7.5)
-    exact_table = (grid, exact_gain_1d(density, lambda y: y, grid))
+    exact_table = (grid, exact_gain_1d(density, grid))
     rng = RngStream(106)
 
     # (a) eps -> infinity limit equals the constant gain
@@ -293,7 +293,7 @@ def test_criterion_7_j_stability_bound():
     grid = density.support_grid(8001, num_sigmas=7.5)
     rho = density.pdf(grid)
     w = np.gradient(grid)
-    exact = exact_gain_1d(density, lambda y: y, grid)
+    exact = exact_gain_1d(density, grid)
     j_star = -0.5 * float((exact**2 * rho) @ w)
     hbar = float((grid * rho) @ w) / float(rho @ w)
 

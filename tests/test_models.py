@@ -3,6 +3,10 @@ import pytest
 from dataclasses import replace
 
 from cips.core import RngStream
+from cips.dual_enkf import dual_enkf_backward_step, dual_enkf_init
+from cips.fpf import Ensemble, fpf_step
+from cips.gain import constant_gain
+from cips.linear_ensemble import linear_enkf_step
 from cips.models import (
     Density1D,
     ObservationPath,
@@ -15,6 +19,7 @@ from cips.models import (
     recover_lq_matrices,
     simulate_truth_and_observations,
 )
+from cips.sir import bootstrap_pf_step, uniform_weighted
 from oracles import controllability_matrix, static_posterior
 
 
@@ -101,38 +106,6 @@ class TestBimodal:
         rho = dens.pdf(grid)
         quad_var = np.trapezoid(grid**2 * rho, grid)
         assert quad_var == pytest.approx(1.2, rel=1e-6)
-
-    def test_cdf_monotone_normalized(self):
-        dens = make_bimodal(0.5)
-        grid = dens.support_grid(101)
-        cdf = dens.cdf(grid)
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("dens", [
-        make_bimodal(0.2),
-        Density1D(means=[-3.0, 0.5, 2.0], variances=[0.1, 2.0, 0.7], weights=[0.2, 0.5, 0.3]),
-    ], ids=["bimodal", "three-component"])
-    def test_cdf_matches_scipy_erf(self, dens):
-        from scipy.special import erf
-
-        x = np.linspace(-40.0, 40.0, 200_001)
-        z = (x[:, None] - dens.means) / np.sqrt(2.0 * dens.variances)
-        reference = (0.5 * (1.0 + erf(z))) @ dens.weights
-        assert np.abs(dens.cdf(x) - reference).max() <= 4.5e-16
-
-    def test_cdf_symmetric_for_symmetric_density(self):
-        dens = make_bimodal(0.2)
-        x = np.linspace(0.0, 8.0, 8001)
-        assert np.abs(dens.cdf(-x) - (1.0 - dens.cdf(x))).max() <= 4.5e-16
-
-    def test_cdf_derivative_is_pdf(self):
-        dens = make_bimodal(0.2)
-        x = dens.support_grid(4001)
-        h = 1e-5
-        slope = (dens.cdf(x + h) - dens.cdf(x - h)) / (2.0 * h)
-        assert np.abs(slope - dens.pdf(x)).max() <= 1e-6
 
     def test_sampling_moments(self):
         dens = make_bimodal(0.2)
@@ -234,6 +207,29 @@ class TestObservationPath:
             ObservationPath(dt=0.1, increments=np.array([[np.nan]]))
 
 
+def _nan_dt_steps():
+    """Every constructor and step that takes a dt, called with dt = NaN."""
+    model = make_static_param(1, 1.0, 1.0)
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    dz = np.zeros(1)
+    lq = make_lq_canonical(2, RngStream(0))
+    return {
+        "ObservationPath": lambda dt: ObservationPath(dt=dt, increments=np.zeros((3, 1))),
+        "fpf_step": lambda dt: fpf_step(Ensemble(x), dz, dt, model, constant_gain, RngStream(1)),
+        "linear_enkf_step": lambda dt: linear_enkf_step(Ensemble(x), dz, dt, model, "sqrt", RngStream(1)),
+        "bootstrap_pf_step": lambda dt: bootstrap_pf_step(uniform_weighted(x), dz, dt, model, RngStream(1)),
+        "dual_enkf_backward_step": lambda dt: dual_enkf_backward_step(
+            dual_enkf_init(lq, 10, RngStream(1)), dt, lq, RngStream(2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nan_dt_steps()))
+def test_nan_dt_is_a_value_error(name):
+    # NaN <= 0 is False, so a "dt <= 0" check lets NaN through to a numeric failure
+    with pytest.raises(ValueError, match="dt must be positive"):
+        _nan_dt_steps()[name](float("nan"))
+
+
 class TestLQCanonical:
     def test_d1_structure(self):
         lq = make_lq_canonical(1, RngStream(0))
@@ -283,3 +279,13 @@ def test_density1d_validation():
         Density1D(means=[0.0], variances=[1.0], weights=[0.5])
     with pytest.raises(ValueError):
         Density1D(means=[0.0], variances=[-1.0], weights=[1.0])
+
+
+@pytest.mark.parametrize("field", ["means", "variances", "weights"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_density1d_rejects_nonfinite(field, bad):
+    # NaN passes both "variances <= 0" and the weight-sum check
+    params = dict(means=[0.0, 1.0], variances=[1.0, 1.0], weights=[0.5, 0.5])
+    params[field] = [params[field][0], bad]
+    with pytest.raises(ValueError, match=field):
+        Density1D(**params)
