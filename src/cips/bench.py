@@ -347,11 +347,10 @@ def diffusion_map_mse_once(
     """
     x = sample_product_density(density, d, rng, num_particles)
     h = x[:, 0]
-    field_, _ = diffusion_map_gain(x, h, eps)
-    gains = field_.per_particle(num_particles)[:, :, 0]    # (N, d)
+    gains, _ = diffusion_map_gain(x, h, eps)
     grid, vals = exact_grid
     exact_first = np.interp(x[:, 0], grid, vals)
-    diff = gains.copy()
+    diff = gains[:, :, 0].copy()                          # (N, d)
     diff[:, 0] -= exact_first
     return float(np.mean(np.sum(diff * diff, axis=1)))
 

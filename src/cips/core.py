@@ -52,10 +52,6 @@ class RngStream:
         """Independent stream derived from this one by integer index."""
         return RngStream(self.seed, self._path + (int(index),))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def __getattr__(self, name):
         # Delegate sampling methods (standard_normal, random, integers, ...).
         return getattr(self._gen, name)

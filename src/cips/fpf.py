@@ -7,7 +7,10 @@ symmetrized innovation
     X^i <- X^i + a(X^i) dt + sigma_B(X^i) dB^i
                + K^i (dZ - (h(X^i) + h^{(N)}) / 2 dt) / sigma_w^2.
 
-Weights stay uniform by construction; no resampling is ever performed.
+The gain method returns one (N, d, m) array of per-particle gains; a
+nonfinite gain shows up as a nonfinite particle and raises
+``FilterDivergenceError``.  Weights stay uniform by construction; no
+resampling is ever performed.
 
 :func:`run_filter` steps any particle filter of the package (this one, the
 linear ensemble filters, the bootstrap particle filter) along an
@@ -24,12 +27,11 @@ import numpy as np
 
 from .core import RngStream, empirical_moments
 from .exceptions import ConfigError, FilterDivergenceError
-from .gain import GainField
 from .models import FilterModel, ObservationPath
 
-# A gain method maps the particles (N, d) and h at them (N, m) to the gain
-# field, e.g. gain.constant_gain, or gain.galerkin_gain with its basis bound.
-GainMethod = Callable[[np.ndarray, np.ndarray], GainField]
+# A gain method maps the particles (N, d) and h at them (N, m) to the gains
+# (N, d, m), e.g. gain.constant_gain, or gain.galerkin_gain with its basis bound.
+GainMethod = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,6 @@ class Ensemble:
             raise ValueError("an ensemble needs at least 2 particles")
         if not np.all(np.isfinite(x)):
             raise ValueError("ensemble contains nonfinite coordinates")
-
-    @property
-    def num_particles(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +80,13 @@ def fpf_step(
     h_mean = h.mean(axis=0)
 
     try:
-        field = gain_method(x, h)
+        gains = gain_method(x, h)                       # (N, d, m)
     except ConfigError:
         raise
     except Exception as exc:
         raise FilterDivergenceError(
             f"gain computation failed at t={ens.time:.6g}: {exc}"
         ) from exc
-    gains = field.per_particle(n)                       # (N, d, m)
 
     innovation = dz - 0.5 * (h + h_mean) * dt           # (N, m)
     control = np.einsum("ndm,nm->nd", gains, innovation) / model.obs_noise_scale**2

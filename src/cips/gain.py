@@ -7,18 +7,20 @@ probability-weighted Poisson equation
 
 with one scalar equation per observation component.  Three approximations
 are provided (constant gain, Galerkin on a basis, diffusion map), plus the
-exact 1-D gain for h(x) = x on a Gaussian mixture, in closed form.
+exact 1-D gain for h(x) = x on a Gaussian mixture, in closed form.  Each
+approximation takes the particles (N, d) and h at them (N, m) and returns
+the gains as one float array of shape (N, d, m).  A Galerkin basis is one
+function x (N, d) -> (psi (N, M), grad psi (N, M, d)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import RngStream
 from .exceptions import GainSolveError
 from .models import Density1D
 
@@ -31,100 +33,28 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class GainField:
-    """Per-particle d x m gain matrices, possibly shared by all particles."""
-
-    values: np.ndarray   # (d, m) if constant else (N, d, m)
-    constant: bool
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("gain field contains nonfinite entries")
-
-    def per_particle(self, num_particles: int | None = None) -> np.ndarray:
-        """Gains broadcast to shape (N, d, m)."""
-        if self.constant:
-            if num_particles is None:
-                raise ValueError("num_particles required to broadcast a constant gain")
-            return np.broadcast_to(self.values, (num_particles,) + self.values.shape)
-        if num_particles is not None and self.values.shape[0] != num_particles:
-            raise ValueError("gain field holds a different particle count")
-        return self.values
+# A Galerkin basis maps particles x (N, d) to the values psi (N, M) of its M
+# functions and their gradients (N, M, d).
+Basis = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    """Differentiable scalar basis functions psi_l with explicit gradients.
+def coordinate_basis(dim: int) -> Basis:
+    """The d coordinate functions x_1, ..., x_d, whose gradients are the unit vectors."""
+    eye = np.eye(dim)
 
-    Each function maps (N, d) -> (N,), each gradient (N, d) -> (N, d).
-    """
+    def basis(x):
+        return x, np.broadcast_to(eye, (x.shape[0], dim, dim))
 
-    functions: Sequence[Callable[[np.ndarray], np.ndarray]]
-    gradients: Sequence[Callable[[np.ndarray], np.ndarray]]
-
-    def __post_init__(self):
-        if len(self.functions) != len(self.gradients):
-            raise ValueError("functions and gradients must pair up")
-        if len(self.functions) == 0:
-            raise ValueError("basis must contain at least one function")
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Psi matrix, shape (N, M)."""
-        return np.stack([np.asarray(f(x), dtype=float) for f in self.functions], axis=1)
-
-    def evaluate_gradients(self, x: np.ndarray) -> np.ndarray:
-        """Gradient stack, shape (N, M, d)."""
-        return np.stack([np.asarray(g(x), dtype=float) for g in self.gradients], axis=1)
-
-    def validate(self, dim: int, rng: RngStream | None = None,
-                 num_points: int = 5, tol: float = 1e-5) -> None:
-        """Check gradients against central finite differences at random points."""
-        rng = rng or RngStream(0xBA515)
-        pts = rng.standard_normal((num_points, dim))
-        step = 1e-6
-        grads = self.evaluate_gradients(pts)
-        for k in range(dim):
-            shift = np.zeros(dim)
-            shift[k] = step
-            fd = (self.evaluate(pts + shift) - self.evaluate(pts - shift)) / (2 * step)
-            err = np.abs(fd - grads[:, :, k]).max()
-            if err > tol * max(1.0, np.abs(grads).max()):
-                raise ValueError(
-                    f"basis gradient disagrees with finite differences in "
-                    f"coordinate {k}: max error {err:.3e}"
-                )
-
-
-def coordinate_basis(dim: int) -> BasisSet:
-    """The d coordinate functions x_1, ..., x_d."""
-
-    def make(j):
-        def func(x):
-            return x[:, j]
-
-        def grad(x):
-            g = np.zeros_like(x)
-            g[:, j] = 1.0
-            return g
-
-        return func, grad
-
-    funcs, grads = zip(*(make(j) for j in range(dim)))
-    basis = BasisSet(functions=list(funcs), gradients=list(grads))
-    basis.validate(dim)
     return basis
 
 
-def constant_gain(particles: np.ndarray, h_values: np.ndarray) -> GainField:
+def constant_gain(particles: np.ndarray, h_values: np.ndarray) -> np.ndarray:
     """Expected-gain approximation: empirical state/observation cross-covariance.
 
-    K = (1/N) sum_i X^i (h(X^i) - h^{(N)})^T, arranged d x m.  For a linear
-    observation h = Hx and Gaussian particles this converges to the Kalman
-    gain Sigma H^T.
+    K = (1/N) sum_i X^i (h(X^i) - h^{(N)})^T, arranged d x m and shared by
+    all particles: the (N, d, m) result is a read-only broadcast view.  For a
+    linear observation h = Hx and Gaussian particles this converges to the
+    Kalman gain Sigma H^T.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
@@ -133,7 +63,7 @@ def constant_gain(particles: np.ndarray, h_values: np.ndarray) -> GainField:
         raise ValueError("constant gain requires at least 2 particles")
     centered = h - h.mean(axis=0)
     gain = x.T @ centered / n
-    return GainField(values=gain, constant=True)
+    return np.broadcast_to(gain, (n,) + gain.shape)
 
 
 # Relative ridge applied to the Galerkin normal matrix only when it is
@@ -157,7 +87,7 @@ def _solve_gram(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A + ridge * np.eye(M), b)
 
 
-def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) -> GainField:
+def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: Basis) -> np.ndarray:
     """Weak-form gain approximation on the span of the basis.
 
     Assembles b_k = (1/N) sum_i (h(X^i) - h^{(N)}) psi_k(X^i) and the Gram
@@ -170,15 +100,13 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: BasisSet) 
     if n < 2:
         raise ValueError("galerkin gain requires at least 2 particles")
 
-    psi = basis.evaluate(x)                  # (N, M)
-    grads = basis.evaluate_gradients(x)      # (N, M, d)
-    flat = grads.transpose(1, 0, 2).reshape(len(basis), n * d)
+    psi, grads = basis(x)                    # (N, M), (N, M, d)
+    flat = grads.transpose(1, 0, 2).reshape(psi.shape[1], n * d)
     A = flat @ flat.T / n                    # one symmetric product (syrk)
     centered = h - h.mean(axis=0)            # (N, m)
     b = psi.T @ centered / n                 # (M, m)
     kappa = _solve_gram(A, b)                # (M, m)
-    values = np.einsum("nmd,mj->ndj", grads, kappa)
-    return GainField(values=values, constant=False)
+    return np.einsum("nmd,mj->ndj", grads, kappa)
 
 
 CG_RTOL = 1e-14
@@ -287,7 +215,8 @@ def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
     the Laplacian form never computes 1 - T_ii, which cancels at a weakly
     connected particle.  Each iteration costs one product with T, shared by
     the m columns; a column leaves the iteration once its normwise backward
-    error |res| / (2 max(off) |Phi| + |rhs|) (pi-norms) is at most CG_RTOL.
+    error |res| / (2 max(off) |Phi| + |rhs|) (pi-norms) is at most CG_RTOL,
+    where res is the residual with its pi-mean removed.
     """
     n, m = rhs.shape
     diag_idx = np.diag_indices(n)
@@ -304,7 +233,11 @@ def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
         p = z
         rz = pi @ (r * z)
         for it in range(CG_MAXITER + 1):
-            res = np.sqrt(pi @ (r * r))
+            # pi^T r = pi^T rhs, rounding's remnant of h - hbar, is the same at
+            # every iterate (pi^T q = 0) and the final pinning drops it, so
+            # the residual is measured without it.
+            rc = r - pi @ r
+            res = np.sqrt(pi @ (rc * rc))
             scale = norm_bound * np.sqrt(pi @ (u * u)) + rhs_norm
             done = res <= CG_RTOL * scale
             if done.any():
@@ -339,7 +272,7 @@ def diffusion_map_gain(
     particles: np.ndarray,
     h_values: np.ndarray,
     eps: float | str,
-) -> tuple[GainField, DiffusionMapState]:
+) -> tuple[np.ndarray, DiffusionMapState]:
     """Diffusion-map gain approximation.
 
     Builds the Gaussian kernel g_ij = exp(-|X^i - X^j|^2 / (4 eps)), its
@@ -360,7 +293,7 @@ def diffusion_map_gain(
     (N x (m + dm + d)).  Vector observations share the kernel and solve one
     fixed-point problem per component.  A kernel row with no off-diagonal
     mass, or a kernel graph T_ij > 0 in several connected parts, has no
-    unique fixed point and raises ``GainSolveError``.
+    unique fixed point and raises ``GainSolveError``, as does a nonfinite gain.
 
     Memory: the distances, g, k and T are built in place in one N x N
     buffer, which ``state.transition`` holds; every elementwise stage runs
@@ -434,10 +367,10 @@ def diffusion_map_gain(
     # sums are the column blocks of one product T [r | r (x) x | x].
     rx = (x[:, :, None] * r[:, None, :]).reshape(n, d * m)
     Tr, TrX, TX = np.split(T @ np.concatenate([r, rx, x], axis=1), [m, m + d * m], axis=1)
-    values = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
-    field = GainField(values=values, constant=False)
-    state = DiffusionMapState(eps=eps, phi=phi, transition=T, stationary=pi)
-    return field, state
+    gains = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
+    if not np.all(np.isfinite(gains)):
+        raise GainSolveError(f"diffusion-map gain is nonfinite at eps={eps:.3e}, N={n}")
+    return gains, DiffusionMapState(eps=eps, phi=phi, transition=T, stationary=pi)
 
 
 # The standard library's erfc, element-wise, so cips needs numpy alone at run time.

@@ -35,14 +35,6 @@ class RiccatiPath:
     times: np.ndarray    # (K + 1,), ascending
     values: np.ndarray   # (K + 1, d, d)
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def filter_riccati_rhs(Sigma: np.ndarray, A: np.ndarray, H: np.ndarray,
                        Sigma_B: np.ndarray, obs_noise_var: float) -> np.ndarray:
@@ -142,19 +134,25 @@ def solve_dre_backward(lq: LQProblem, dt: float) -> RiccatiPath:
     return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
 
 
-def _matrix_sign(Z: np.ndarray, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+# The sign iteration stops once a step moves Z by at most SIGN_RTOL of |Z|
+# (entrywise 1-norms), or gives up after SIGN_MAXITER steps.
+SIGN_RTOL = 1e-10
+SIGN_MAXITER = 100
+
+
+def _matrix_sign(Z: np.ndarray) -> np.ndarray:
     """Newton iteration Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}."""
     n = Z.shape[0]
-    for _ in range(max_iter):
+    for _ in range(SIGN_MAXITER):
         det = abs(np.linalg.det(Z))
         c = det ** (-1.0 / n) if 0.0 < det < np.inf else 1.0
         Z_new = 0.5 * (c * Z + np.linalg.inv(Z) / c)
         if not np.all(np.isfinite(Z_new)):
             raise ConvergenceError("matrix sign iteration became nonfinite")
-        if np.abs(Z_new - Z).sum() <= tol * np.abs(Z_new).sum():
+        if np.abs(Z_new - Z).sum() <= SIGN_RTOL * np.abs(Z_new).sum():
             return Z_new
         Z = Z_new
-    raise ConvergenceError(f"matrix sign iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"matrix sign iteration did not converge in {SIGN_MAXITER} steps")
 
 
 def _newton_kleinman_step(P: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:

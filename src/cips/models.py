@@ -105,17 +105,8 @@ class ObservationPath:
         return self.increments.shape[0]
 
     @property
-    def horizon(self) -> float:
-        return self.num_steps * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.num_steps + 1)
-
-    def cumulative(self) -> np.ndarray:
-        """Z_t on the grid, starting from 0: shape (K + 1, m)."""
-        m = self.increments.shape[1]
-        return np.vstack([np.zeros((1, m)), np.cumsum(self.increments, axis=0)])
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,7 @@ def make_linear_gaussian(
     def sample_prior(rng, n):
         return m0 + rng.standard_normal((n, d)) @ sqrt_Sigma0.T
 
-    model = FilterModel(
+    return FilterModel(
         dim_state=d,
         dim_obs=H.shape[0],
         drift=drift,
@@ -300,20 +291,6 @@ def make_linear_gaussian(
         obs_noise_scale=float(obs_noise_scale),
         linear=spec,
     )
-    _check_linear_descriptor(model)
-    return model
-
-
-def _check_linear_descriptor(model: FilterModel, num_points: int = 10, tol: float = 1e-12):
-    """Descriptor/oracle agreement at random points (construction invariant)."""
-    spec = model.linear
-    rng = RngStream(0x11EA4)
-    x = rng.standard_normal((num_points, model.dim_state))
-    scale = max(1.0, np.abs(x).max())
-    if np.abs(model.drift(x) - x @ spec.A.T).max() > tol * scale * max(1.0, np.abs(spec.A).max()):
-        raise ValueError("linear descriptor disagrees with drift oracle")
-    if np.abs(model.observation(x) - x @ spec.H.T).max() > tol * scale * max(1.0, np.abs(spec.H).max()):
-        raise ValueError("linear descriptor disagrees with observation oracle")
 
 
 def make_static_param(d: int, sigma0: float, sigma_w: float) -> FilterModel:

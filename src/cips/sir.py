@@ -14,6 +14,10 @@ from .core import RngStream
 from .exceptions import WeightCollapseError
 from .models import FilterModel
 
+# Systematic resampling triggers when the effective sample size falls below
+# this fraction of N.
+RESAMPLE_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
@@ -37,10 +41,6 @@ class WeightedEnsemble:
             raise ValueError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-
-    @property
-    def num_particles(self) -> int:
-        return self.particles.shape[0]
 
     @property
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,13 +131,12 @@ def bootstrap_pf_step(
     dt: float,
     model: FilterModel,
     rng: RngStream,
-    resample_threshold: float = 0.5,
 ) -> WeightedEnsemble:
     """One propagate/weight/resample step of the bootstrap particle filter.
 
     Particles move by Euler-Maruyama, log-weights pick up the discretized
     Girsanov increment (h . dZ - |h|^2 dt / 2) / sigma_w^2, and systematic
-    resampling triggers when ESS < threshold * N.
+    resampling triggers when ESS < RESAMPLE_THRESHOLD * N.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -161,7 +160,7 @@ def bootstrap_pf_step(
     w = _shifted_weights(logw)
     w = w / w.sum()
 
-    if ess(w) < resample_threshold * n:
+    if ess(w) < RESAMPLE_THRESHOLD * n:
         idx = systematic_resample(w, rng)
         x_new = x_new[idx]
         w = np.full(n, 1.0 / n)

@@ -4,7 +4,8 @@ None of these is run by a ``cips`` command.  Each either computes an exact
 reference (the dual Riccati equation, the static posterior, the closed-form
 MSE of the exact-denominator estimator) or states an identity of the survey
 (the consistency equation of the ensemble filters, the Hamiltonian policy,
-the empirical objective that the Galerkin gain minimises).
+the empirical objective that the Galerkin gain minimises).  The two 1-D test
+bases check their gradients by finite differences when they are built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from cips.core import RngStream, symmetrize
 from cips.dual_enkf import value_matrix
 from cips.fpf import Ensemble
-from cips.gain import BasisSet, _as_matrix
+from cips.gain import Basis, _as_matrix
 from cips.kalman import (
     GaussianBelief,
     RiccatiPath,
@@ -164,7 +165,7 @@ def heat_transport_step(
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d = ens.dim
+    d = ens.particles.shape[1]
     spread = symmetrize(np.asarray(prior.cov, dtype=float)) + 2.0 * t * np.eye(d)
     m0 = np.atleast_1d(np.asarray(prior.mean, dtype=float))
     velocity = np.linalg.solve(spread, (ens.particles - m0).T).T
@@ -175,56 +176,61 @@ def heat_transport_step(
 # Galerkin: one-dimensional bases and the variational objective
 # ---------------------------------------------------------------------------
 
-def polynomial_basis_1d(degrees: Sequence[int]) -> BasisSet:
+def validate_basis(basis: Basis, dim: int, rng: RngStream | None = None,
+                   num_points: int = 5, tol: float = 1e-5) -> None:
+    """Check a basis's gradients against central finite differences at random points."""
+    rng = rng or RngStream(0xBA515)
+    pts = rng.standard_normal((num_points, dim))
+    step = 1e-6
+    _, grads = basis(pts)
+    for k in range(dim):
+        shift = np.zeros(dim)
+        shift[k] = step
+        fd = (basis(pts + shift)[0] - basis(pts - shift)[0]) / (2 * step)
+        err = np.abs(fd - grads[:, :, k]).max()
+        if err > tol * max(1.0, np.abs(grads).max()):
+            raise ValueError(
+                f"basis gradient disagrees with finite differences in "
+                f"coordinate {k}: max error {err:.3e}"
+            )
+
+
+def polynomial_basis_1d(degrees: Sequence[int]) -> Basis:
     """Monomials x^k (k >= 1) on the real line, as a basis for d = 1."""
+    k = np.asarray(degrees, dtype=float)
+    if np.any(k < 1):
+        raise ValueError("degrees must be >= 1 (constants have zero gradient)")
 
-    def make(k):
-        if k < 1:
-            raise ValueError("degrees must be >= 1 (constants have zero gradient)")
+    def basis(x):
+        t = x[:, :1]
+        return t**k, (k * t ** (k - 1))[:, :, None]
 
-        def func(x):
-            return x[:, 0] ** k
-
-        def grad(x):
-            return (k * x[:, 0] ** (k - 1))[:, None]
-
-        return func, grad
-
-    funcs, grads = zip(*(make(k) for k in degrees))
-    basis = BasisSet(functions=list(funcs), gradients=list(grads))
-    basis.validate(1)
+    validate_basis(basis, 1)
     return basis
 
 
-def gaussian_bump_basis_1d(centers: Sequence[float], width: float) -> BasisSet:
+def gaussian_bump_basis_1d(centers: Sequence[float], width: float) -> Basis:
     """Gaussian bumps exp(-(x - c)^2 / (2 w^2)) for d = 1."""
     if width <= 0:
         raise ValueError("width must be positive")
+    c = np.asarray(centers, dtype=float)
 
-    def make(c):
-        def func(x):
-            return np.exp(-((x[:, 0] - c) ** 2) / (2 * width**2))
+    def basis(x):
+        u = x[:, :1] - c
+        psi = np.exp(-(u**2) / (2 * width**2))
+        return psi, (-u / width**2 * psi)[:, :, None]
 
-        def grad(x):
-            val = np.exp(-((x[:, 0] - c) ** 2) / (2 * width**2))
-            return (-(x[:, 0] - c) / width**2 * val)[:, None]
-
-        return func, grad
-
-    funcs, grads = zip(*(make(c) for c in centers))
-    basis = BasisSet(functions=list(funcs), gradients=list(grads))
-    basis.validate(1)
+    validate_basis(basis, 1)
     return basis
 
 
 def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
-                        basis: BasisSet, theta: np.ndarray) -> np.ndarray:
+                        basis: Basis, theta: np.ndarray) -> np.ndarray:
     """Empirical variational objective J^(N)(f_theta), one value per obs component."""
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
     n = x.shape[0]
-    grads = basis.evaluate_gradients(x)
-    psi = basis.evaluate(x)
+    psi, grads = basis(x)
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 1:
         theta = theta[:, None]

@@ -212,8 +212,8 @@ def test_criterion_5_galerkin_constant_identity():
         x = sub.standard_normal((n, d)) * float(sub.uniform(0.5, 2.0))
         h = x @ sub.standard_normal((d, 2)) + np.sin(x[:, :1])
         basis = coordinate_basis(d)
-        galerkin = galerkin_gain(x, h, basis).per_particle(n)
-        constant = constant_gain(x, h).per_particle(n)
+        galerkin = galerkin_gain(x, h, basis)
+        constant = constant_gain(x, h)
         scale = max(np.abs(constant).max(), 1e-30)
         worst = max(worst, np.abs(galerkin - constant).max() / scale)
     assert worst <= 1e-12
@@ -227,10 +227,10 @@ def test_criterion_5_galerkin_constant_identity():
 
 def _dm_mse(density, exact_table, n, eps, rng):
     x = density.sample(rng, n)
-    field, _ = diffusion_map_gain(x, x, eps)
+    gains, _ = diffusion_map_gain(x, x, eps)
     grid, vals = exact_table
     exact = np.interp(x, grid, vals)
-    return float(np.mean((field.values[:, 0, 0] - exact) ** 2))
+    return float(np.mean((gains[:, 0, 0] - exact) ** 2))
 
 
 def test_criterion_6_diffusion_map_properties():
@@ -241,9 +241,9 @@ def test_criterion_6_diffusion_map_properties():
 
     # (a) eps -> infinity limit equals the constant gain
     x = density.sample(rng.substream(0), 200)
-    limit_field, _ = diffusion_map_gain(x, x, 1e6)
-    const = constant_gain(x, x).values[0, 0]
-    dev_inf = np.abs(limit_field.values[:, 0, 0] - const).max()
+    limit_gains, _ = diffusion_map_gain(x, x, 1e6)
+    const = constant_gain(x, x)[0, 0, 0]
+    dev_inf = np.abs(limit_gains[:, 0, 0] - const).max()
     assert dev_inf <= 1e-3
 
     # (b) interior minimum of MSE over eps at N=200
@@ -308,13 +308,13 @@ def test_criterion_7_j_stability_bound():
     }
     gaps = []
     for name, basis in bases.items():
-        psi = basis.evaluate(x)
-        grads = basis.evaluate_gradients(x)[:, :, 0]
+        psi, grads = basis(x)
+        grads = grads[:, :, 0]
         normal = grads.T @ grads / x.shape[0]
         rhs = psi.T @ (h - h.mean()) / x.shape[0]
         theta = np.linalg.solve(normal, rhs)
-        psi_g = basis.evaluate(grid[:, None])
-        grad_g = basis.evaluate_gradients(grid[:, None])[:, :, 0]
+        psi_g, grad_g = basis(grid[:, None])
+        grad_g = grad_g[:, :, 0]
         gain_theta = grad_g @ theta
         f_theta = psi_g @ theta
         j_theta = float(((0.5 * gain_theta**2 - f_theta * (grid - hbar)) * rho) @ w)

@@ -278,7 +278,7 @@ def test_value_matrix_is_inverse_covariance(d, m, extra, steps, seed):
         ens = dual_enkf_backward_step(ens, 0.02, lq, rng)
     n_mean, S = ens.moments
     x = np.linalg.solve(S, (ens.particles - n_mean).T).T
-    ref = x.T @ x / (ens.num_particles - 1)
+    ref = x.T @ x / (ens.particles.shape[0] - 1)
 
     P = value_matrix(ens)
     assert np.abs(P - P.T).max() <= 1e-12

@@ -7,7 +7,7 @@ from cips.core import RngStream, empirical_moments
 from cips.exceptions import ConfigError, FilterDivergenceError
 from cips.cli import _bandwidth
 from cips.fpf import Ensemble, fpf_step, run_filter
-from cips.gain import GainField, constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
+from cips.gain import constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import linear_enkf_step
 from cips.models import (
@@ -72,7 +72,7 @@ class TestFpfStep:
         dt = 0.05
         stepped = fpf_step(Ensemble(x), dz, dt, model, constant_gain, rng.substream(1))
 
-        gain = constant_gain(x, x @ H.T).values        # d x m, 1/N-normalized
+        gain = constant_gain(x, x @ H.T)[0]            # d x m, 1/N-normalized
         innovation = dz - 0.5 * (x @ H.T + (x @ H.T).mean(axis=0)) * dt
         expected = x + (x @ A.T) * dt + innovation @ gain.T
         assert np.abs(stepped.particles - expected).max() <= 1e-14
@@ -92,7 +92,7 @@ class TestFpfStep:
         rng = RngStream(31)
         _, obs = simulate_truth_and_observations(model, 0.02, 1.0, rng.substream(0))
         run = fpf_from_prior(model, obs, 10_000, constant_gain, rng.substream(1))
-        z1 = obs.cumulative()[-1]
+        z1 = np.cumsum(obs.increments, axis=0)[-1]
         target, _ = static_posterior(1.0, 1.0, z1)
         assert abs(run.means[-1][0] - target[0]) <= 3.0 / np.sqrt(10_000)
 
@@ -104,6 +104,19 @@ class TestFpfStep:
 
         with pytest.raises(FilterDivergenceError, match="gain computation failed"):
             fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model, broken, RngStream(0))
+
+    @pytest.mark.parametrize("gain_method", [
+        constant_gain, partial(galerkin_gain, basis=coordinate_basis(1)),
+    ], ids=["constant", "galerkin"])
+    def test_nonfinite_gain_is_a_divergence(self, gain_method):
+        # x^T (h - hbar) overflows, so the gain is nonfinite; the step's own
+        # particle check stops the run with a numeric error (exit code 1)
+        model = make_static_param(1, 1.0, 1.0)
+        x = np.array([[-1e200], [1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(gain_method(x, x)))
+            with pytest.raises(FilterDivergenceError, match="particle became nonfinite"):
+                fpf_step(Ensemble(x), np.zeros(1), 0.1, model, gain_method, RngStream(0))
 
     def test_config_error_is_not_wrapped(self):
         model = make_static_param(1, 1.0, 1.0)
@@ -166,7 +179,7 @@ class TestRunFpf:
         run = fpf_from_prior(model, obs, 1000, auto_dm_gain, rng.substream(6))
         x = np.sort(run.final_state.particles[:, 0])
 
-        z1 = obs.cumulative()[-1][0]
+        z1 = np.cumsum(obs.increments, axis=0)[-1][0]
         grid = np.linspace(-3.5, 3.5, 2001)
         log_like = (grid * z1 - 0.5 * grid**2) / 10.0**2
         post = dens.pdf(grid) * np.exp(log_like)
@@ -231,8 +244,7 @@ def reference_moments(method, model, obs, n, rng):
 def unbiased_constant_gain(particles, h_values):
     """The constant gain rescaled by N/(N-1): Sigma^(N) H^T with the (N-1)-normalized Sigma."""
     n = particles.shape[0]
-    return GainField(values=constant_gain(particles, h_values).values * (n / (n - 1)),
-                     constant=True)
+    return constant_gain(particles, h_values) * (n / (n - 1))
 
 
 class TestRunFilter:

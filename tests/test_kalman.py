@@ -117,7 +117,7 @@ class TestValueRiccati:
         lq = make_lq_canonical(2, RngStream(0))
         path = solve_dre_backward(lq, dt=0.01)
         P_inf = solve_are(lq)
-        assert np.linalg.norm(path.initial - P_inf, "fro") <= 1e-6
+        assert np.linalg.norm(path.values[0] - P_inf, "fro") <= 1e-6
 
     def test_grid_checks(self):
         lq = scalar_lq(0, 1, 1, horizon=1.0)
