@@ -89,7 +89,7 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if int(self.seed) < 0:
             raise ConfigError("seed must be nonnegative")
@@ -451,14 +451,8 @@ def bench_dual_enkf(cfg: RunConfig) -> ResultTable:
     )
 
 
-EXPERIMENT_NAMES = ("mse-levelsets", "bias-variance", "dual-enkf")
-
 EXPERIMENTS = {
     "mse-levelsets": bench_mse_levelsets,
     "bias-variance": bench_bias_variance,
     "dual-enkf": bench_dual_enkf,
 }
-
-
-def run_experiment(cfg: RunConfig) -> ResultTable:
-    return EXPERIMENTS[cfg.experiment](cfg)

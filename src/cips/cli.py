@@ -28,15 +28,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .bench import (
-    EXPERIMENT_NAMES,
-    ResultTable,
-    RunConfig,
-    fingerprint,
-    gain_study_table,
-    run_experiment,
-    table_metadata,
-)
+from .bench import EXPERIMENTS, ResultTable, RunConfig, fingerprint, gain_study_table, table_metadata
 from .core import RngStream
 from .exceptions import ConfigError, NumericError
 from .fpf import Ensemble, fpf_step, run_filter
@@ -240,7 +232,7 @@ OPTIONS = {
     ),
     # the defaults of bench are those of _BENCH_DEFAULTS and RunConfig
     "bench": (
-        Option("experiment", choice(*EXPERIMENT_NAMES), REQUIRED),
+        Option("experiment", choice(*EXPERIMENTS), REQUIRED),
         Option("seed", INT),
         Option("reps", INT),
         Option("n_list", INTS),
@@ -470,7 +462,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _, opts = _read_options(args)
     with _setup_errors():
         cfg = RunConfig(**{**_BENCH_DEFAULTS[opts["experiment"]], **opts})
-    _write_or_print(run_experiment(cfg), args.out)
+    _write_or_print(EXPERIMENTS[cfg.experiment](cfg), args.out)
     return 0
 
 

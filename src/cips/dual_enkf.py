@@ -26,7 +26,7 @@ import numpy as np
 from .core import RngStream, solve_with_jitter
 from .exceptions import FilterDivergenceError
 from .fpf import Ensemble
-from .models import LQProblem, call_rowwise, lq_matrices
+from .models import LQProblem, call_rowwise, grid_steps, lq_matrices
 
 
 class _LQOps:
@@ -128,7 +128,7 @@ def run_dual_enkf(
     One pass over the grid is the whole algorithm; there is no outer
     iteration to tune.
     """
-    num_steps = lq.num_steps(dt)
+    num_steps = grid_steps(lq.horizon, dt)
     ops = _LQOps(lq)
 
     st = dual_enkf_init(lq, num_particles, rng)

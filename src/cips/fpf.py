@@ -4,7 +4,7 @@ Each particle follows a copy of the signal model plus a gain-times-error
 correction, discretized at the pre-step particle locations with the
 symmetrized innovation
 
-    X^i <- X^i + a(X^i) dt + sigma_B(X^i) dB^i
+    X^i <- X^i + a(X^i) dt + sigma_B dB^i
                + K^i (dZ - (h(X^i) + h^{(N)}) / 2 dt) / sigma_w^2.
 
 The gain method returns one (N, d, m) array of per-particle gains; a
@@ -73,7 +73,6 @@ def fpf_step(
         raise ValueError(f"dz has shape {dz.shape}, expected ({model.dim_obs},)")
 
     x = ens.particles
-    n = x.shape[0]
     h = model.observation(x)
     if h.ndim == 1:
         h = h[:, None]
@@ -90,10 +89,7 @@ def fpf_step(
 
     innovation = dz - 0.5 * (h + h_mean) * dt           # (N, m)
     control = np.einsum("ndm,nm->nd", gains, innovation) / model.obs_noise_scale**2
-
-    q = model.diffusion_width(x)
-    db = np.sqrt(dt) * rng.standard_normal((n, q))
-    x_new = x + model.drift(x) * dt + model.diffusion_term(x, db) + control
+    x_new = model.propagate(x, dt, rng) + control
     if not np.all(np.isfinite(x_new)):
         raise FilterDivergenceError(
             f"particle became nonfinite after step at t={ens.time:.6g}"

@@ -17,7 +17,7 @@ import numpy as np
 from .core import is_positive_definite, symmetrize
 from .exceptions import ConvergenceError, FilterDivergenceError
 from .fpf import FilterRun
-from .models import FilterModel, LQProblem, ObservationPath, lq_matrices
+from .models import FilterModel, LQProblem, ObservationPath, grid_steps, lq_matrices
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def kalman_bucy_run(model: FilterModel, obs: ObservationPath) -> FilterRun:
     if model.linear is None:
         raise ValueError("kalman_bucy_run requires a model with a linear descriptor")
     spec = model.linear
-    A, H, Sigma_B = spec.A, spec.H, spec.Sigma_B
+    A, H, Sigma_B = spec.A, spec.H, model.sigma_B @ model.sigma_B.T
     r = model.obs_noise_scale**2
     dt = obs.dt
 
@@ -108,7 +108,7 @@ def _rk4_matrix_step(X: np.ndarray, rhs, h: float) -> np.ndarray:
 
 def _integrate_backward(lq: LQProblem, dt: float, X_T: np.ndarray, rhs, label: str) -> RiccatiPath:
     """RK4 in reverse time tau = T - t from X_T, stored forward in t."""
-    num_steps = lq.num_steps(dt)
+    num_steps = grid_steps(lq.horizon, dt)
     values = np.empty((num_steps + 1,) + X_T.shape)
     values[num_steps] = X_T
     X = X_T.copy()

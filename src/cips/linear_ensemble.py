@@ -41,15 +41,14 @@ def linear_enkf_step(
     * ``perturbed``: innovation dZ - H X^i dt - dW^i with per-particle
       observation-noise draws dW^i ~ N(0, sigma_w^2 dt I).
     * ``deterministic``: no sampled noise at all; the process-noise effect is
-      reproduced by the drift term Sigma_B Sigma^{-1} (X^i - m) / 2.
+      reproduced by the drift term sigma_B sigma_B^T Sigma^{-1} (X^i - m) / 2.
     """
     _check_variant(variant)
     if model.linear is None:
         raise ValueError("linear_enkf_step requires a model with a linear descriptor")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    spec = model.linear
-    A, H, sigma_B = spec.A, spec.H, spec.sigma_B
+    A, H, sigma_B = model.linear.A, model.linear.H, model.sigma_B
     r = model.obs_noise_scale**2
     dz = np.atleast_1d(np.asarray(dz, dtype=float))
 
@@ -61,22 +60,20 @@ def linear_enkf_step(
     hx = x @ H.T                               # (N, m)
     hm = H @ mean
 
-    if variant == "sqrt":
-        innovation = dz - 0.5 * (hx + hm) * dt
-        db = np.sqrt(dt) * rng.standard_normal((n, sigma_B.shape[1]))
-        move = db @ sigma_B.T + innovation @ gain.T
-    elif variant == "perturbed":
+    if variant == "perturbed":
         dw = np.sqrt(dt) * model.obs_noise_scale * rng.standard_normal((n, H.shape[0]))
         innovation = dz - hx * dt - dw
-        db = np.sqrt(dt) * rng.standard_normal((n, sigma_B.shape[1]))
-        move = db @ sigma_B.T + innovation @ gain.T
-    else:  # deterministic
+    else:
         innovation = dz - 0.5 * (hx + hm) * dt
+    if variant == "deterministic":
         Sigma_inv = solve_with_jitter(Sigma, np.eye(d))
-        spread = 0.5 * (x - mean) @ (spec.Sigma_B @ Sigma_inv).T * dt
-        move = spread + innovation @ gain.T
+        process = 0.5 * (x - mean) @ ((sigma_B @ sigma_B.T) @ Sigma_inv).T * dt
+    else:
+        db = np.sqrt(dt) * rng.standard_normal((n, sigma_B.shape[1]))
+        process = db @ sigma_B.T
 
-    x_new = x + (x @ A.T) * dt + move
+    # the two moves are summed first; the enkf-* outputs round that way
+    x_new = x + (x @ A.T) * dt + (process + innovation @ gain.T)
     if not np.all(np.isfinite(x_new)):
         raise FilterDivergenceError(
             f"ensemble became nonfinite after step at t={ens.time:.6g}"

@@ -1,9 +1,9 @@
 """Filtering/control model constructors and truth-path simulation.
 
-A :class:`FilterModel` packages the drift, diffusion and observation
-functions of a continuous-time state-space model
+A :class:`FilterModel` packages the drift and observation functions and the
+constant noise matrix sigma_B of a continuous-time state-space model
 
-    dX_t = a(X_t) dt + sigma_B(X_t) dB_t,      X_0 ~ p0,
+    dX_t = a(X_t) dt + sigma_B dB_t,      X_0 ~ p0,
     dZ_t = h(X_t) dt + sigma_w dW_t,
 
 together with a prior sampler.  All function oracles are batched: they map
@@ -50,40 +50,30 @@ class LinearGaussianSpec:
 
     A: np.ndarray        # (d, d)
     H: np.ndarray        # (m, d)
-    sigma_B: np.ndarray  # (d, q)
     m0: np.ndarray       # (d,)
     Sigma0: np.ndarray   # (d, d)
-
-    @property
-    def Sigma_B(self) -> np.ndarray:
-        """Process-noise covariance sigma_B @ sigma_B.T."""
-        return self.sigma_B @ self.sigma_B.T
 
 
 @dataclass(frozen=True)
 class FilterModel:
     """Nonlinear filtering model given through function oracles."""
 
-    dim_state: int
     dim_obs: int
     drift: Callable[[np.ndarray], np.ndarray]          # (n,d) -> (n,d)
-    diffusion: Callable[[np.ndarray], np.ndarray]      # (n,d) -> (d,q) or (n,d,q)
+    sigma_B: np.ndarray                                # (d, q)
     observation: Callable[[np.ndarray], np.ndarray]    # (n,d) -> (n,m)
     sample_prior: Callable[[RngStream, int], np.ndarray]  # -> (n,d)
     obs_noise_scale: float = 1.0
     linear: LinearGaussianSpec | None = None
 
-    def diffusion_term(self, x: np.ndarray, db: np.ndarray) -> np.ndarray:
-        """sigma_B(x) @ db per row; supports constant or state-dependent sigma_B."""
-        sig = self.diffusion(x)
-        if sig.ndim == 2:
-            return db @ sig.T
-        return np.einsum("ndq,nq->nd", sig, db)
+    @property
+    def dim_state(self) -> int:
+        return self.sigma_B.shape[0]
 
-    def diffusion_width(self, x: np.ndarray) -> int:
-        """Number of independent Wiener components q."""
-        sig = self.diffusion(x[:1] if x.ndim == 2 else x)
-        return sig.shape[-1]
+    def propagate(self, x: np.ndarray, dt: float, rng: RngStream) -> np.ndarray:
+        """Euler-Maruyama move x + a(x) dt + sigma_B dB of every row, dB ~ N(0, dt I_q)."""
+        db = np.sqrt(dt) * rng.standard_normal((x.shape[0], self.sigma_B.shape[1]))
+        return x + self.drift(x) * dt + db @ self.sigma_B.T
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,6 @@ class LQProblem:
     them withheld (None) is solved through the oracles alone.
     """
 
-    dim_state: int
-    dim_input: int
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cost_output: Callable[[np.ndarray], np.ndarray]
     R: np.ndarray
@@ -187,9 +175,13 @@ class LQProblem:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
-    def num_steps(self, dt: float) -> int:
-        """Number of steps of size ``dt`` on [0, horizon]; must be whole."""
-        return grid_steps(self.horizon, dt)
+    @property
+    def dim_state(self) -> int:
+        return self.P_T.shape[0]
+
+    @property
+    def dim_input(self) -> int:
+        return self.R.shape[0]
 
 
 def call_rowwise(name: str, oracle: Callable, *args: np.ndarray, cols: int | None = None) -> np.ndarray:
@@ -266,14 +258,11 @@ def make_linear_gaussian(
     if not (math.isfinite(obs_noise_scale) and obs_noise_scale > 0):
         raise ValueError(f"obs_noise_scale must be positive and finite, got {obs_noise_scale}")
 
-    spec = LinearGaussianSpec(A=A, H=H, sigma_B=sigma_B, m0=m0, Sigma0=Sigma0)
+    spec = LinearGaussianSpec(A=A, H=H, m0=m0, Sigma0=Sigma0)
     sqrt_Sigma0 = np.linalg.cholesky(Sigma0)
 
     def drift(x):
         return x @ A.T
-
-    def diffusion(x):
-        return sigma_B
 
     def observation(x):
         return x @ H.T
@@ -282,10 +271,9 @@ def make_linear_gaussian(
         return m0 + rng.standard_normal((n, d)) @ sqrt_Sigma0.T
 
     return FilterModel(
-        dim_state=d,
         dim_obs=H.shape[0],
         drift=drift,
-        diffusion=diffusion,
+        sigma_B=sigma_B,
         observation=observation,
         sample_prior=sample_prior,
         obs_noise_scale=float(obs_noise_scale),
@@ -332,7 +320,6 @@ def simulate_truth_and_observations(
 
     d, m = model.dim_state, model.dim_obs
     x = model.sample_prior(rng, 1)
-    q = model.diffusion_width(x)
     states = np.empty((num_steps + 1, d))
     states[0] = x[0]
     increments = np.empty((num_steps, m))
@@ -341,8 +328,7 @@ def simulate_truth_and_observations(
         h_val = model.observation(x)[0]
         dw = sqdt * rng.standard_normal(m)
         increments[k] = h_val * dt + model.obs_noise_scale * dw
-        db = sqdt * rng.standard_normal((1, q))
-        x = x + model.drift(x) * dt + model.diffusion_term(x, db)
+        x = model.propagate(x, dt, rng)
         if not np.all(np.isfinite(x)):
             raise FilterDivergenceError(
                 f"state became nonfinite at step {k + 1}; reduce dt or check the model"
@@ -375,8 +361,6 @@ def make_lq_canonical(d: int, rng: RngStream) -> LQProblem:
         return np.asarray(x, dtype=float) @ C.T
 
     return LQProblem(
-        dim_state=d,
-        dim_input=1,
         dynamics=dynamics,
         cost_output=cost_output,
         R=R,

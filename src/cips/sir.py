@@ -144,9 +144,7 @@ def bootstrap_pf_step(
     n = x.shape[0]
     dz = np.atleast_1d(np.asarray(dz, dtype=float))
 
-    q = model.diffusion_width(x)
-    db = np.sqrt(dt) * rng.standard_normal((n, q))
-    x_new = x + model.drift(x) * dt + model.diffusion_term(x, db)
+    x_new = model.propagate(x, dt, rng)
     if not np.all(np.isfinite(x_new)):
         raise WeightCollapseError("particle became nonfinite during propagation")
 

@@ -423,7 +423,6 @@ def test_criterion_10_scalar_closed_forms():
     B = np.array([[1.0]])
     C = np.array([[1.0]])
     lq = LQProblem(
-        dim_state=1, dim_input=1,
         dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
         cost_output=lambda x: np.asarray(x) @ C.T,
         R=np.eye(1), P_T=np.eye(1), horizon=10.0,

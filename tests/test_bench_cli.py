@@ -596,18 +596,27 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
-    def test_filter_dm_isolated_particle_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, expected", [
         # at this seed one particle is thrown far from the rest and has no
         # kernel mass left at t = 0.12; without the isolation guard it would
         # get a silent zero gain there, and from t = 0.16 the fixed point
-        # would have no unique solution
+        # would have no unique solution (a better bandwidth rule may let
+        # this run through)
+        (["--n", "1000", "--seed", "11"],
+         ["gain computation failed at t=0.12:", "1 of 1000 particles isolated"]),
+        # a bandwidth far below every nearest-neighbour distance isolates
+        # every particle at the first step, whatever the bandwidth rule
+        (["--eps", "1e-5", "--n", "50", "--seed", "0"],
+         ["gain computation failed at t=0:", "50 of 50 particles isolated", "try eps around"]),
+    ], ids=["auto-seed-11", "eps-1e-5"])
+    def test_filter_dm_isolated_particle_exits_1(self, tmp_path, capsys, flags, expected):
         out = tmp_path / "dm.csv"
         code = main(["filter", "--model", "static", "--d", "2", "--method", "fpf-dm",
-                     "--n", "1000", "--seed", "11", "--out", str(out)])
+                     *flags, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "gain computation failed at t=0.12:" in err
-        assert "1 of 1000 particles isolated" in err and "nearest-neighbour" in err
+        for text in expected + ["nearest-neighbour"]:
+            assert text in err
         assert "Singular matrix" not in err
         assert not out.exists()
 

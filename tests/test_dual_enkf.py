@@ -26,7 +26,6 @@ def scalar_unit_lq(horizon=10.0):
     B = np.array([[1.0]])
     C = np.array([[1.0]])
     return LQProblem(
-        dim_state=1, dim_input=1,
         dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
         cost_output=lambda x: np.asarray(x) @ C.T,
         R=np.eye(1), P_T=np.eye(1), horizon=horizon,
@@ -68,7 +67,6 @@ class TestBackwardStep:
         # C = 0 and B = 0: pure reverse-Euler of the drift
         A = np.array([[0.3, -0.2], [0.1, 0.0]])
         lq = LQProblem(
-            dim_state=2, dim_input=1,
             dynamics=lambda x, u: np.asarray(x) @ A.T,
             cost_output=lambda x: 0.0 * np.asarray(x),
             R=np.eye(1), P_T=np.eye(2), horizon=1.0,
@@ -100,7 +98,6 @@ class TestGainExtraction:
         A = np.array([[-0.4, 0.2], [0.0, -0.6]])
         B = np.array([[0.0], [1.0]])
         lq = LQProblem(
-            dim_state=2, dim_input=1,
             dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
             cost_output=lambda x: 0.0 * np.asarray(x),
             R=np.eye(1), P_T=np.eye(2), horizon=2.0,
@@ -164,7 +161,6 @@ class TestRunDualEnkf:
             A, B, C = (gen.uniform(-1.0, 1.0, shape) for shape in [(d, d), (d, m), (p, d)])
             L = gen.uniform(-0.5, 0.5, (m, m))
             problems.append(LQProblem(
-                dim_state=d, dim_input=m,
                 dynamics=lambda x, u, A=A, B=B: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
                 cost_output=lambda x, C=C: np.asarray(x) @ C.T,
                 R=L @ L.T + 0.5 * np.eye(m), P_T=np.eye(d), horizon=1.0, A=A, B=B, C=C,
@@ -195,7 +191,6 @@ class TestRunDualEnkf:
     def test_per_point_oracle_rejected(self):
         # written for one point: x[1] is a row of the batch, not a coordinate
         lq = LQProblem(
-            dim_state=2, dim_input=1,
             dynamics=lambda x, u: np.array([x[1], -x[0] + u[0]]),
             cost_output=lambda x: np.asarray(x),
             R=np.eye(1), P_T=np.eye(2), horizon=0.1,
@@ -266,7 +261,6 @@ def test_value_matrix_is_inverse_covariance(d, m, extra, steps, seed):
     B = gen.uniform(-1.0, 1.0, (d, m))
     L = gen.uniform(-0.5, 0.5, (m, m))
     lq = LQProblem(
-        dim_state=d, dim_input=m,
         dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
         cost_output=lambda x: np.asarray(x),
         R=L @ L.T + 0.5 * np.eye(m), P_T=np.eye(d), horizon=1.0,

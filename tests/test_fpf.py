@@ -35,10 +35,9 @@ def auto_dm_gain(particles, h_values):
 def bimodal_static_model(sigma_w):
     dens = make_bimodal(0.2)
     return FilterModel(
-        dim_state=1,
         dim_obs=1,
         drift=lambda x: np.zeros_like(x),
-        diffusion=lambda x: np.zeros((1, 1)),
+        sigma_B=np.zeros((1, 1)),
         observation=lambda x: x,
         sample_prior=lambda r, n: dens.sample(r, n)[:, None],
         obs_noise_scale=sigma_w,
@@ -76,6 +75,24 @@ class TestFpfStep:
         innovation = dz - 0.5 * (x @ H.T + (x @ H.T).mean(axis=0)) * dt
         expected = x + (x @ A.T) * dt + innovation @ gain.T
         assert np.abs(stepped.particles - expected).max() <= 1e-14
+
+    def test_filters_share_the_model_move(self):
+        # with a zero gain the FPF step, and without resampling the bootstrap
+        # step, is the model's Euler-Maruyama move, draws included
+        model = make_linear_gaussian(**README_LINEAR)
+        x = model.sample_prior(RngStream(5), 40)
+        dt = 0.01
+        moved = model.propagate(x, dt, RngStream(6))
+        assert not np.array_equal(moved, x + model.drift(x) * dt)
+
+        def zero_gain(particles, h_values):
+            return np.zeros(particles.shape + h_values.shape[1:])
+
+        fpf = fpf_step(Ensemble(x), np.zeros(1), dt, model, zero_gain, RngStream(6))
+        np.testing.assert_array_equal(fpf.particles, moved)
+        sir = bootstrap_pf_step(uniform_weighted(x), np.zeros(1), dt, model, RngStream(6))
+        assert np.ptp(sir.weights) > 0              # weighted, not resampled
+        np.testing.assert_array_equal(sir.particles, moved)
 
     def test_zero_innovation_for_particle_at_mean(self):
         # symmetric ensemble, linear h: the particle sitting at the mean sees

@@ -28,8 +28,6 @@ def lq_from_matrices(A, B, C, R=None, P_T=None, horizon=10.0):
     """LQ problem with row-wise oracles and the matrices attached."""
     d, m = B.shape
     return LQProblem(
-        dim_state=d,
-        dim_input=m,
         dynamics=lambda x, u: np.asarray(x) @ A.T + np.asarray(u) @ B.T,
         cost_output=lambda x: np.asarray(x) @ C.T,
         R=np.eye(m) if R is None else R,
@@ -91,9 +89,9 @@ class TestKalmanBucy:
         from cips.models import FilterModel
 
         model = FilterModel(
-            dim_state=1, dim_obs=1,
+            dim_obs=1,
             drift=lambda x: np.zeros_like(x),
-            diffusion=lambda x: np.zeros((1, 1)),
+            sigma_B=np.zeros((1, 1)),
             observation=lambda x: x,
             sample_prior=lambda r, n: r.standard_normal((n, 1)),
         )

@@ -155,9 +155,9 @@ class TestLinearEnkfStep:
         from cips.models import FilterModel
 
         model = FilterModel(
-            dim_state=1, dim_obs=1,
+            dim_obs=1,
             drift=lambda x: np.zeros_like(x),
-            diffusion=lambda x: np.zeros((1, 1)),
+            sigma_B=np.zeros((1, 1)),
             observation=lambda x: x,
             sample_prior=lambda r, n: r.standard_normal((n, 1)),
         )
