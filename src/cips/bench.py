@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -155,18 +157,20 @@ def table_metadata(seed: int, schema: str, config: str) -> dict[str, str]:
     }
 
 
-def _map_ordered(func, args_list, jobs: int):
-    """Apply ``func`` over argument tuples, in order; pool when jobs > 1.
+def _map_ordered(cell, cfg: RunConfig, *axes: int) -> list:
+    """``cell(cfg, *indices)`` over the grid ``range(a) x range(b) x ...``, in
+    row-major order; on a pool of ``cfg.jobs`` workers when that is above 1.
 
     The pool module is imported only here, so that a serial run (and
     ``import cips``) does not load it.
     """
-    if jobs <= 1 or len(args_list) <= 1:
-        return [func(*args) for args in args_list]
+    grid = list(product(*map(range, axes)))
+    if cfg.jobs <= 1 or len(grid) <= 1:
+        return [cell(cfg, *indices) for indices in grid]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, *zip(*args_list)))
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(pool.map(cell, [cfg] * len(grid), *zip(*grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,20 @@ def _map_ordered(func, args_list, jobs: int):
 
 def _unit_direction(d: int) -> np.ndarray:
     return np.ones(d) / np.sqrt(d)
+
+
+def _replicate_mse(sq_errors, reps: int, rng: RngStream, chunk: int) -> tuple[float, float]:
+    """Mean of ``reps`` replicates' squared errors, and its standard error.
+
+    ``sq_errors(sub, take)`` draws ``take`` replicates from the stream
+    ``sub`` and returns their squared errors; the chunk of replicates from
+    ``done`` on draws from ``rng.substream(done)``.
+    """
+    errors = np.empty(reps)
+    for done in range(0, reps, chunk):
+        take = min(chunk, reps - done)
+        errors[done : done + take] = sq_errors(rng.substream(done), take)
+    return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(reps))
 
 
 def static_pf_mse(
@@ -194,13 +212,8 @@ def static_pf_mse(
     posterior mean of f.
     """
     a = _unit_direction(d)
-    # Keep the working set bounded: reps x chunk x d arrays.
-    chunk = max(1, min(chunk, int(2e7 // max(num_particles * d, 1)) or 1))
-    sq_errors = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        sub = rng.substream(done)
+
+    def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
         z1 = truth + sigma_w * sub.standard_normal((take, d))
         samples = sigma0 * sub.standard_normal((take, num_particles, d))
@@ -212,11 +225,11 @@ def static_pf_mse(
             est = np.sum(w * fvals, axis=1)
         else:
             est = self_normalized_estimate(samples, z1, sigma_w, fvals)
-        sq_errors[done : done + take] = (est - target) ** 2
-        done += take
-    mse = float(sq_errors.mean())
-    stderr = float(sq_errors.std(ddof=1) / np.sqrt(reps))
-    return mse, stderr
+        return (est - target) ** 2
+
+    # Keep the working set bounded: reps x chunk x d arrays.
+    chunk = max(1, min(chunk, int(2e7 // max(num_particles * d, 1)) or 1))
+    return _replicate_mse(sq_errors, reps, rng, chunk)
 
 
 def static_fpf_mse(
@@ -246,14 +259,10 @@ def static_fpf_mse(
     replicate instead of O(N d^2), and the estimate is m . a.
     """
     a = _unit_direction(d)
-    chunk = max(1, min(chunk, int(1e7 // max(num_particles * d, 1)) or 1))
     num_steps = grid_steps(1.0, dt)
     eye = np.eye(d)
-    sq_errors = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        sub = rng.substream(done)
+
+    def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
         x = sigma0 * sub.standard_normal((take, num_particles, d))
         mean = x.mean(axis=1)
@@ -269,12 +278,10 @@ def static_fpf_mse(
             f = eye - 0.5 * dt * gain
             cov = f.transpose(0, 2, 1) @ cov @ f
         target = (z1 @ a) * sigma0**2 / (sigma0**2 + sigma_w**2)
-        est = mean @ a
-        sq_errors[done : done + take] = (est - target) ** 2
-        done += take
-    mse = float(sq_errors.mean())
-    stderr = float(sq_errors.std(ddof=1) / np.sqrt(reps))
-    return mse, stderr
+        return (mean @ a - target) ** 2
+
+    chunk = max(1, min(chunk, int(1e7 // max(num_particles * d, 1)) or 1))
+    return _replicate_mse(sq_errors, reps, rng, chunk)
 
 
 def static_method_mse(
@@ -287,49 +294,30 @@ def static_method_mse(
     sigma_w: float = 1.0,
     dt: float = 0.02,
 ) -> tuple[float, float]:
-    if method == "pf":
-        return static_pf_mse(d, num_particles, reps, rng, sigma0, sigma_w, modified=False)
-    if method == "pf-modified":
-        return static_pf_mse(d, num_particles, reps, rng, sigma0, sigma_w, modified=True)
+    if method in ("pf", "pf-modified"):
+        return static_pf_mse(d, num_particles, reps, rng, sigma0, sigma_w, method == "pf-modified")
     if method == "fpf":
         return static_fpf_mse(d, num_particles, reps, rng, sigma0, sigma_w, dt)
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _levelset_cell(seed, mi, method, di, d, ni, n, reps, sigma0, sigma_w, dt):
-    cell = RngStream(seed).substream(mi).substream(di).substream(ni)
-    mse, stderr = static_method_mse(method, d, n, reps, cell, sigma0, sigma_w, dt)
+def _levelset_cell(cfg: RunConfig, mi: int, di: int, ni: int) -> tuple:
+    method, d, n = cfg.methods[mi], cfg.d_list[di], cfg.n_list[ni]
+    cell = RngStream(cfg.seed).substream(mi).substream(di).substream(ni)
+    mse, stderr = static_method_mse(method, d, n, cfg.reps, cell, cfg.sigma0, cfg.sigma_w, cfg.dt)
     return (method, d, n, mse, stderr)
 
 
 def bench_mse_levelsets(cfg: RunConfig) -> ResultTable:
     """Grid of estimator MSEs for the static benchmark."""
-    args = [
-        (cfg.seed, mi, method, di, d, ni, n, cfg.reps, cfg.sigma0, cfg.sigma_w, cfg.dt)
-        for mi, method in enumerate(cfg.methods)
-        for di, d in enumerate(cfg.d_list)
-        for ni, n in enumerate(cfg.n_list)
-    ]
-    rows = _map_ordered(_levelset_cell, args, cfg.jobs)
-    return ResultTable(
-        columns=("method", "d", "N", "mse", "stderr"),
-        rows=rows,
-        metadata=table_metadata(cfg.seed, "mse-levelsets", cfg.fingerprint()),
-    )
+    rows = _map_ordered(_levelset_cell, cfg, len(cfg.methods), len(cfg.d_list), len(cfg.n_list))
+    return ResultTable(("method", "d", "N", "mse", "stderr"), rows,
+                       table_metadata(cfg.seed, "mse-levelsets", cfg.fingerprint()))
 
 
 # ---------------------------------------------------------------------------
 # Diffusion-map bias/variance study
 # ---------------------------------------------------------------------------
-
-def sample_product_density(
-    density: Density1D, d: int, rng: RngStream, n: int
-) -> np.ndarray:
-    """Draws from rho(x) = rho_b(x_1) * prod_{k>=2} N(0, 1)."""
-    x = rng.standard_normal((n, d))
-    x[:, 0] = density.sample(rng, n)
-    return x
-
 
 def diffusion_map_mse_once(
     density: Density1D,
@@ -341,88 +329,77 @@ def diffusion_map_mse_once(
 ) -> float:
     """Single-replicate estimate of (1/N) sum_i |K^i - K(X^i)|^2.
 
+    The particles are drawn from rho(x) = rho_b(x_1) prod_{k>=2} N(0, 1).
     The observed function is h(x) = x_1, for which the exact gain of the
     product density reduces to the scalar problem in the first coordinate;
     it is read off ``exact_grid``, the table of :func:`exact_gain_table`.
     """
-    x = sample_product_density(density, d, rng, num_particles)
-    h = x[:, 0]
-    gains, _ = diffusion_map_gain(x, h, eps)
-    grid, vals = exact_grid
-    exact_first = np.interp(x[:, 0], grid, vals)
+    x = rng.standard_normal((num_particles, d))
+    x[:, 0] = density.sample(rng, num_particles)
+    gains = diffusion_map_gain(x, x[:, 0], eps)
     diff = gains[:, :, 0].copy()                          # (N, d)
-    diff[:, 0] -= exact_first
+    diff[:, 0] -= np.interp(x[:, 0], *exact_grid)
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
 def exact_gain_table(density: Density1D) -> tuple[np.ndarray, np.ndarray]:
     """Dense exact-gain lookup used to score many replicates cheaply."""
     grid = density.support_grid(num_points=4001, num_sigmas=7.5)
-    vals = exact_gain_1d(density, grid)
-    return grid, vals
+    return grid, exact_gain_1d(density, grid)
 
 
-def _bias_variance_cell(seed, di, d, ni, n, ei, eps, reps, sigma2, grid, vals):
-    density = make_bimodal(sigma2)
-    cell = RngStream(seed).substream(di).substream(ni).substream(ei)
+def _bias_variance_cell(cfg: RunConfig, di: int, ni: int, ei: int, exact_grid) -> tuple:
+    d, n, eps, reps = cfg.d_list[di], cfg.n_list[ni], cfg.eps_list[ei], cfg.reps
+    density = make_bimodal(cfg.bimodal_sigma2)
+    cell = RngStream(cfg.seed).substream(di).substream(ni).substream(ei)
     per_rep = np.array([
-        diffusion_map_mse_once(density, d, n, eps, cell.substream(r), (grid, vals))
+        diffusion_map_mse_once(density, d, n, eps, cell.substream(r), exact_grid)
         for r in range(reps)
     ])
     stderr = float(per_rep.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return (eps, n, d, float(per_rep.mean()), stderr), per_rep
 
 
-def _bias_variance_cells(cfg: RunConfig, d_list: tuple[int, ...]) -> list:
+def _bias_variance_cells(cfg: RunConfig) -> list:
     """Every (d, N, eps) cell of the diffusion-map study, in that order.
 
-    Each result is the summary row and the per-replicate MSEs.
+    Each result is the summary row and the per-replicate MSEs.  The
+    exact-gain table is built once, for all cells.
     """
     if not cfg.eps_list:
         raise ConfigError("the diffusion-map study needs a nonempty eps list")
-    grid, vals = exact_gain_table(make_bimodal(cfg.bimodal_sigma2))
-    args = [
-        (cfg.seed, di, d, ni, n, ei, eps, cfg.reps, cfg.bimodal_sigma2, grid, vals)
-        for di, d in enumerate(d_list)
-        for ni, n in enumerate(cfg.n_list)
-        for ei, eps in enumerate(cfg.eps_list)
-    ]
-    return _map_ordered(_bias_variance_cell, args, cfg.jobs)
+    exact_grid = exact_gain_table(make_bimodal(cfg.bimodal_sigma2))
+    cell = partial(_bias_variance_cell, exact_grid=exact_grid)
+    return _map_ordered(cell, cfg, len(cfg.d_list), len(cfg.n_list), len(cfg.eps_list))
 
 
 def bench_bias_variance(cfg: RunConfig) -> ResultTable:
     """Diffusion-map gain MSE over the (eps, N, d) grid."""
-    rows = [row for row, _ in _bias_variance_cells(cfg, cfg.d_list)]
-    return ResultTable(
-        columns=("eps", "N", "d", "mse", "stderr"),
-        rows=rows,
-        metadata=table_metadata(cfg.seed, "bias-variance", cfg.fingerprint()),
-    )
+    rows = [row for row, _ in _bias_variance_cells(cfg)]
+    return ResultTable(("eps", "N", "d", "mse", "stderr"), rows,
+                       table_metadata(cfg.seed, "bias-variance", cfg.fingerprint()))
 
 
 def gain_study_table(cfg: RunConfig) -> ResultTable:
     """Per-replicate diffusion-map MSE rows (eps, N, rep, mse), at the first d."""
     rows = []
-    for (eps, n, _d, _mse, _se), per_rep in _bias_variance_cells(cfg, cfg.d_list[:1]):
+    for (eps, n, _d, _mse, _se), per_rep in _bias_variance_cells(replace(cfg, d_list=cfg.d_list[:1])):
         rows.extend((eps, n, r, float(v)) for r, v in enumerate(per_rep))
-    return ResultTable(
-        columns=("eps", "N", "rep", "mse"),
-        rows=rows,
-        metadata=table_metadata(cfg.seed, "gain-study", cfg.fingerprint()),
-    )
+    return ResultTable(("eps", "N", "rep", "mse"), rows,
+                       table_metadata(cfg.seed, "gain-study", cfg.fingerprint()))
 
 
 # ---------------------------------------------------------------------------
 # Dual ensemble LQ benchmark
 # ---------------------------------------------------------------------------
 
-def _dual_enkf_cell(seed, di, d, rep, n_list, dt, horizon):
-    base = RngStream(seed).substream(di).substream(rep)
-    lq = make_lq_canonical(d, base.substream(0))
-    lq = replace(lq, horizon=float(horizon))
+def _dual_enkf_cell(cfg: RunConfig, di: int, rep: int) -> list[tuple]:
+    d, dt, horizon = cfg.d_list[di], cfg.dt, cfg.horizon
+    base = RngStream(cfg.seed).substream(di).substream(rep)
+    lq = replace(make_lq_canonical(d, base.substream(0)), horizon=float(horizon))
     oracle = solve_dre_backward(lq, dt)
     rows = []
-    for ni, n in enumerate(n_list):
+    for ni, n in enumerate(cfg.n_list):
         run = run_dual_enkf(lq, n, dt, base.substream(1 + ni))
         rel = relative_value_mse(run.cov_path, oracle.values, dt, horizon)
         closed = lq.A + lq.B @ run.gains[0]
@@ -437,18 +414,10 @@ def bench_dual_enkf(cfg: RunConfig) -> ResultTable:
     The random canonical system is redrawn per (d, rep) and shared across
     ensemble sizes so the N-sweep is comparable within a replicate.
     """
-    args = [
-        (cfg.seed, di, d, rep, tuple(cfg.n_list), cfg.dt, cfg.horizon)
-        for di, d in enumerate(cfg.d_list)
-        for rep in range(cfg.reps)
-    ]
-    nested = _map_ordered(_dual_enkf_cell, args, cfg.jobs)
+    nested = _map_ordered(_dual_enkf_cell, cfg, len(cfg.d_list), cfg.reps)
     rows = [row for cell_rows in nested for row in cell_rows]
-    return ResultTable(
-        columns=("d", "N", "rep", "rel_mse", "spec_abscissa"),
-        rows=rows,
-        metadata=table_metadata(cfg.seed, "dual-enkf", cfg.fingerprint()),
-    )
+    return ResultTable(("d", "N", "rep", "rel_mse", "spec_abscissa"), rows,
+                       table_metadata(cfg.seed, "dual-enkf", cfg.fingerprint()))
 
 
 EXPERIMENTS = {

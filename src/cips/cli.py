@@ -152,13 +152,13 @@ BANDWIDTH = (lambda key, value: _bandwidth(value), {})
 BOOL = (_true_or_false, {"action": "store_true"})
 
 
-def choice(*values: str, parser_checks: bool = True) -> tuple:
-    """One of ``values``; argparse checks the flag too unless told not to."""
+def choice(*values: str) -> tuple:
+    """One of ``values``; argparse checks the flag too."""
     def read(key: str, value) -> str:
         if not (isinstance(value, str) and value in values):
             raise ConfigError(f"{key} must be one of {', '.join(values)}, got {value!r}")
         return value
-    return read, {"choices": values} if parser_checks else {}
+    return read, {"choices": values}
 
 
 REQUIRED = object()
@@ -200,10 +200,7 @@ OPTIONS = {
         Option("eps", BANDWIDTH, "auto"),
         *(Option(key, MATRIX, flag=None) for key in _MODEL_KEYS),
     ),
-    # density and h get no argparse choices: main returns 2 for another value
     "gain-study": (
-        Option("density", choice("bimodal", parser_checks=False), "bimodal"),
-        Option("h", choice("x", parser_checks=False), "x"),
         Option("sigma2", FLOAT, 0.2),
         Option("eps_list", FLOATS, REQUIRED),
         Option("n_list", INTS, (200,)),
@@ -323,12 +320,12 @@ def _time_rows(times, *paths) -> list[tuple]:
     return [(t,) + tuple(v for f in flat for v in f[k]) for k, t in enumerate(times.tolist())]
 
 
-def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
+def _filter_start(method: str, model, n: int, eps, rng: RngStream):
     """Start state and step function of a particle method; draws the prior."""
     prior = model.sample_prior(rng, n)
     if method == "sir":
         return uniform_weighted(prior), bootstrap_pf_step
-    start = Ensemble(prior, time=t0)
+    start = Ensemble(prior)
     if method in ENKF_VARIANTS:
         return start, partial(linear_enkf_step, variant=ENKF_VARIANTS[method])
     if method == "fpf-const":
@@ -336,8 +333,7 @@ def _filter_start(method: str, model, n: int, eps, rng: RngStream, t0: float):
     elif method == "fpf-galerkin":
         gain_method = partial(galerkin_gain, basis=coordinate_basis(model.dim_state))
     else:
-        def gain_method(x, h):
-            return diffusion_map_gain(x, h, eps)[0]
+        gain_method = partial(diffusion_map_gain, eps=eps)
     return start, partial(fpf_step, gain_method=gain_method)
 
 
@@ -351,7 +347,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
                                                  rng.substream(0))
         frng = rng.substream(1)
         if method != "kalman":
-            start, step = _filter_start(method, model, opts["n"], opts["eps"], frng, obs.t0)
+            start, step = _filter_start(method, model, opts["n"], opts["eps"], frng)
     if method == "kalman":
         run = kalman_bucy_run(model, obs)
     else:
@@ -489,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--sample-out": "transported samples CSV (needed by --samples)"}),
         ("bench", "benchmark table reproduction", {}),
     ):
-        p = sub.add_parser(name, help=text)
+        # no prefix matching: a removed flag must not become another one
+        # (gain-study's old --h would run as --help and exit 0)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--config", help="INI config file; flags win")
         for flag, path_help in paths.items():

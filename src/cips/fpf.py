@@ -30,7 +30,8 @@ from .exceptions import ConfigError, FilterDivergenceError
 from .models import FilterModel, ObservationPath
 
 # A gain method maps the particles (N, d) and h at them (N, m) to the gains
-# (N, d, m), e.g. gain.constant_gain, or gain.galerkin_gain with its basis bound.
+# (N, d, m), e.g. gain.constant_gain, or gain.galerkin_gain with its basis
+# bound, or gain.diffusion_map_gain with its eps bound.
 GainMethod = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -116,7 +117,7 @@ def run_filter(
 ) -> FilterRun:
     """Step a particle filter along an observation path, recording its moments.
 
-    ``start`` is the state at ``obs.t0`` (an :class:`Ensemble` or a
+    ``start`` is the state at t = 0 (an :class:`Ensemble` or a
     :class:`cips.sir.WeightedEnsemble`); ``step(state, dz, dt, model, rng=rng)``
     returns the next one.  ``state.moments`` is read before the first step
     and after each step.

@@ -16,7 +16,6 @@ function x (N, d) -> (psi (N, M), grad psi (N, M, d)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,6 +73,10 @@ _COND_LIMIT = 1e12
 
 def _solve_gram(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A kappa = b, adding a relative ridge only if A is ill-conditioned."""
+    # LAPACK would print its rejection of a nonfinite A and go on
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise GainSolveError("Galerkin system A kappa = b has nonfinite entries "
+                             "(the basis or h overflows on the ensemble)")
     M = A.shape[0]
     cond = np.linalg.cond(A)
     if np.isfinite(cond) and cond < _COND_LIMIT:
@@ -116,16 +119,6 @@ CG_MAXITER = 1000
 # pass and well below the N x N buffer, so glibc reuses the freed heap on the
 # next call instead of trimming it (1 MB blocks: ~125 page faults a call at N=200).
 _BLOCK_ELEMS = 2**14
-
-
-@dataclass(frozen=True)
-class DiffusionMapState:
-    """Markov matrix and fixed-point solution of the diffusion-map solve."""
-
-    eps: float
-    phi: np.ndarray                   # (N, m) fixed-point values
-    transition: np.ndarray            # T_ij row-stochastic Markov matrix
-    stationary: np.ndarray            # pi_i stationary weights
 
 
 def auto_bandwidth(particles: np.ndarray) -> float:
@@ -268,44 +261,18 @@ def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
     return phi
 
 
-def diffusion_map_gain(
-    particles: np.ndarray,
-    h_values: np.ndarray,
-    eps: float | str,
-) -> tuple[np.ndarray, DiffusionMapState]:
-    """Diffusion-map gain approximation.
+def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Markov matrix T of the particles x (N, d), its stationary weights pi, and eps.
 
-    Builds the Gaussian kernel g_ij = exp(-|X^i - X^j|^2 / (4 eps)), its
-    symmetric normalization k_ij, the row-stochastic Markov matrix T and its
-    stationary weights pi, then solves the fixed-point equation
-
-        Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
-
-    pinned by pi^T Phi = 0, as along the sweeps Phi <- T Phi + eps (h - hbar)
-    from Phi = 0, whose limit it is.  T is reversible with respect to pi, so
-    the solve is Jacobi-preconditioned conjugate gradients on T itself
-    (``_solve_fixed_point``): one product with T per iteration and no
-    factorisation.  Gains are read off as
-
-        K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
-
-    with r = Phi + eps h, from the one matrix product T [r | r (x) X | X]
-    (N x (m + dm + d)).  Vector observations share the kernel and solve one
-    fixed-point problem per component.  A kernel row with no off-diagonal
-    mass, or a kernel graph T_ij > 0 in several connected parts, has no
-    unique fixed point and raises ``GainSolveError``, as does a nonfinite gain.
-
-    Memory: the distances, g, k and T are built in place in one N x N
-    buffer, which ``state.transition`` holds; every elementwise stage runs
-    over it in row blocks of about 128 KB.  With eps ``"auto"`` a call peaks
-    at 1.5 N x N float64 arrays, T and the upper triangle whose median sets
-    the bandwidth; with a numeric eps at T plus one block.  The solve holds
-    only T and a few N x m vectors (no pinned matrix, no LAPACK copy).
+    The Gaussian kernel g_ij = exp(-|X^i - X^j|^2 / (4 eps)), eps "auto"
+    being the median rule on the same distances, is normalized to
+    k_ij = g_ij / sqrt(row_i row_j); T = k / deg_i and pi = deg / sum(deg).
+    The distances, g, k and T are built in place in one N x N buffer, in row
+    blocks of about 128 KB.  A kernel row with no off-diagonal mass, or a
+    kernel graph T_ij > 0 in several connected parts, leaves the fixed point
+    without a unique solution and raises ``GainSolveError``.
     """
-    x = _as_matrix(particles)
-    h = _as_matrix(h_values)
-    n, d = x.shape
-    m = h.shape[1]
+    n = x.shape[0]
     if n < 2:
         raise ValueError("diffusion map gain requires at least 2 particles")
     auto = isinstance(eps, str)
@@ -349,15 +316,46 @@ def diffusion_map_gain(
         T[blk].sum(axis=1, out=deg[blk])
         T[blk] /= deg[blk, None]
         del norm                       # before the next block's is made
-    # A kernel graph in several parts leaves the fixed point without a
-    # unique solution, as an isolated particle does.
     sizes = _component_sizes(T)
     if len(sizes) > 1:
         raise GainSolveError(
             f"the kernel graph splits into {len(sizes)} components of sizes "
             f"{sorted(sizes, reverse=True)} at eps={eps:.3e}: no unique fixed point"
         )
-    pi = deg / deg.sum()
+    return T, deg / deg.sum(), eps
+
+
+def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float | str) -> np.ndarray:
+    """Diffusion-map gain approximation.
+
+    Builds the row-stochastic Markov matrix T of the Gaussian kernel and its
+    stationary weights pi (``_markov_matrix``), then solves the fixed-point
+    equation
+
+        Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
+
+    pinned by pi^T Phi = 0, as along the sweeps Phi <- T Phi + eps (h - hbar)
+    from Phi = 0, whose limit it is.  T is reversible with respect to pi, so
+    the solve is Jacobi-preconditioned conjugate gradients on T itself
+    (``_solve_fixed_point``): one product with T per iteration and no
+    factorisation.  Gains are read off as
+
+        K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
+
+    with r = Phi + eps h, from the one matrix product T [r | r (x) X | X]
+    (N x (m + dm + d)).  Vector observations share the kernel and solve one
+    fixed-point problem per component.  A nonfinite gain raises
+    ``GainSolveError``, as do the kernel's own refusals.
+
+    Memory: a call peaks at T and the upper triangle whose median sets eps
+    ``"auto"`` (1.5 N x N float64 arrays), or at T and one row block with a
+    numeric eps; the solve adds only a few N x m vectors.
+    """
+    x = _as_matrix(particles)
+    h = _as_matrix(h_values)
+    n, d = x.shape
+    m = h.shape[1]
+    T, pi, eps = _markov_matrix(x, eps)
 
     hbar = pi @ h                                  # (m,)
     phi = _solve_fixed_point(T, pi, eps * (h - hbar), eps)
@@ -370,7 +368,7 @@ def diffusion_map_gain(
     gains = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
     if not np.all(np.isfinite(gains)):
         raise GainSolveError(f"diffusion-map gain is nonfinite at eps={eps:.3e}, N={n}")
-    return gains, DiffusionMapState(eps=eps, phi=phi, transition=T, stationary=pi)
+    return gains
 
 
 # The standard library's erfc, element-wise, so cips needs numpy alone at run time.

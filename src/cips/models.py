@@ -78,11 +78,10 @@ class FilterModel:
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Observation increments on a uniform time grid."""
+    """Observation increments on the uniform time grid t_k = k dt."""
 
     dt: float
     increments: np.ndarray  # (K, m); row k is Z_{t_{k+1}} - Z_{t_k}
-    t0: float = 0.0
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -96,7 +95,7 @@ class ObservationPath:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.num_steps + 1)
+        return self.dt * np.arange(self.num_steps + 1)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def test_criterion_5_galerkin_constant_identity():
 
 def _dm_mse(density, exact_table, n, eps, rng):
     x = density.sample(rng, n)
-    gains, _ = diffusion_map_gain(x, x, eps)
+    gains = diffusion_map_gain(x, x, eps)
     grid, vals = exact_table
     exact = np.interp(x, grid, vals)
     return float(np.mean((gains[:, 0, 0] - exact) ** 2))
@@ -241,7 +241,7 @@ def test_criterion_6_diffusion_map_properties():
 
     # (a) eps -> infinity limit equals the constant gain
     x = density.sample(rng.substream(0), 200)
-    limit_gains, _ = diffusion_map_gain(x, x, 1e6)
+    limit_gains = diffusion_map_gain(x, x, 1e6)
     const = constant_gain(x, x)[0, 0, 0]
     dev_inf = np.abs(limit_gains[:, 0, 0] - const).max()
     assert dev_inf <= 1e-3

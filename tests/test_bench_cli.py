@@ -380,8 +380,10 @@ class TestCli:
         assert len(data) == 3
 
     def test_gain_study_rejects_unsupported_specs(self, capsys):
-        assert main(["gain-study", "--density", "gauss", "--eps-list", "0.1"]) == 2
-        assert main(["gain-study", "--h", "x^2", "--eps-list", "0.1"]) == 2
+        for flag, value in (("--density", "gauss"), ("--h", "x^2")):
+            with pytest.raises(SystemExit) as exc:
+                main(["gain-study", flag, value, "--eps-list", "0.1"])
+            assert exc.value.code == 2
         capsys.readouterr()
 
     def test_filter_cli_kalman_matches_direct_call(self, tmp_path):
@@ -829,8 +831,8 @@ class TestOptionTables:
         assert flags == {
             "filter": sorted(["--model", "--method", "--d", "--sigma0", "--sigma-w", "--n",
                               "--dt", "--T", "--seed", "--eps"]),
-            "gain-study": sorted(["--density", "--h", "--sigma2", "--eps-list", "--n-list",
-                                  "--reps", "--seed", "--jobs"]),
+            "gain-study": sorted(["--sigma2", "--eps-list", "--n-list", "--reps", "--seed",
+                                  "--jobs"]),
             "lqr-solve": sorted(["--d", "--n", "--dt", "--T", "--seed", "--oracle-only"]),
             "static-update": sorted(["--mean-x", "--mean-y", "--cov-x", "--cov-xy", "--cov-y",
                                      "--y", "--method", "--samples", "--seed"]),

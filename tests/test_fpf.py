@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cips.core import RngStream, empirical_moments
-from cips.exceptions import ConfigError, FilterDivergenceError
+from cips.exceptions import ConfigError, FilterDivergenceError, GainSolveError
 from cips.cli import _bandwidth
 from cips.fpf import Ensemble, fpf_step, run_filter
 from cips.gain import constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
@@ -19,17 +19,16 @@ from cips.models import (
     simulate_truth_and_observations,
 )
 from cips.sir import bootstrap_pf_step, uniform_weighted
-from oracles import static_posterior
+from oracles import polynomial_basis_1d, static_posterior
 
 
 def fpf_from_prior(model, obs, num_particles, gain_method, rng):
     """The FPF along ``obs`` from an i.i.d. prior ensemble drawn from ``rng``."""
-    start = Ensemble(model.sample_prior(rng, num_particles), time=obs.t0)
+    start = Ensemble(model.sample_prior(rng, num_particles))
     return run_filter(model, obs, start, partial(fpf_step, gain_method=gain_method), rng)
 
 
-def auto_dm_gain(particles, h_values):
-    return diffusion_map_gain(particles, h_values, "auto")[0]
+auto_dm_gain = partial(diffusion_map_gain, eps="auto")
 
 
 def bimodal_static_model(sigma_w):
@@ -122,17 +121,18 @@ class TestFpfStep:
         with pytest.raises(FilterDivergenceError, match="gain computation failed"):
             fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model, broken, RngStream(0))
 
-    @pytest.mark.parametrize("gain_method", [
-        constant_gain, partial(galerkin_gain, basis=coordinate_basis(1)),
+    @pytest.mark.parametrize("gain_method, error", [
+        (constant_gain, "particle became nonfinite"),
+        (partial(galerkin_gain, basis=coordinate_basis(1)), "gain computation failed.*Galerkin"),
     ], ids=["constant", "galerkin"])
-    def test_nonfinite_gain_is_a_divergence(self, gain_method):
-        # x^T (h - hbar) overflows, so the gain is nonfinite; the step's own
-        # particle check stops the run with a numeric error (exit code 1)
+    def test_nonfinite_gain_is_a_divergence(self, gain_method, error):
+        # x^T (h - hbar) overflows.  The constant gain comes out nonfinite and
+        # the step's own particle check stops the run; Galerkin refuses its
+        # nonfinite system.  Either way it is a numeric error (exit code 1)
         model = make_static_param(1, 1.0, 1.0)
         x = np.array([[-1e200], [1e200]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.all(np.isfinite(gain_method(x, x)))
-            with pytest.raises(FilterDivergenceError, match="particle became nonfinite"):
+            with pytest.raises(FilterDivergenceError, match=error):
                 fpf_step(Ensemble(x), np.zeros(1), 0.1, model, gain_method, RngStream(0))
 
     def test_config_error_is_not_wrapped(self):
@@ -149,6 +149,22 @@ class TestFpfStep:
         model = make_static_param(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             fpf_step(Ensemble(np.zeros((4, 2))), np.zeros(1), 0.1, model, constant_gain, RngStream(0))
+
+
+def test_overflowing_galerkin_system_is_a_gain_failure(capfd):
+    # monomials of degree 5 overflow at a particle at 1e80: LAPACK printed
+    # "On entry to DLASCL parameter number 4 had an illegal value" to fd 2,
+    # the gain came back nonfinite, and the step blamed the particle
+    x = np.append(RngStream(0).standard_normal(50), 1e80)
+    basis = polynomial_basis_1d([1, 2, 3, 4, 5])
+    model, _ = bimodal_static_model(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GainSolveError, match="Galerkin system"):
+            galerkin_gain(x, x, basis)
+        with pytest.raises(FilterDivergenceError, match="gain computation failed"):
+            fpf_step(Ensemble(x), np.zeros(1), 0.02, model, partial(galerkin_gain, basis=basis),
+                     RngStream(1))
+    assert capfd.readouterr().err == ""
 
 
 class TestRunFpf:
@@ -236,7 +252,7 @@ def reference_moments(method, model, obs, n, rng):
     dt = obs.dt
     if method.startswith("enkf-"):
         variant = ENKF_TAGS[method]
-        ens = Ensemble(model.sample_prior(rng, n), time=obs.t0)
+        ens = Ensemble(model.sample_prior(rng, n))
         means = [empirical_moments(ens.particles)[0]]
         covs = [empirical_moments(ens.particles)[1]]
         for k in range(obs.num_steps):
@@ -277,7 +293,7 @@ class TestRunFilter:
         if method == "sir":
             start, step = uniform_weighted(prior), bootstrap_pf_step
         else:
-            start = Ensemble(prior, time=obs.t0)
+            start = Ensemble(prior)
             step = partial(linear_enkf_step, variant=ENKF_TAGS[method])
         run = run_filter(model, obs, start, step, rng)
         np.testing.assert_array_equal(run.times, obs.times)
