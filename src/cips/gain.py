@@ -16,7 +16,7 @@ function x (N, d) -> (psi (N, M), grad psi (N, M, d)).
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -151,21 +151,32 @@ def _median_bandwidth(d2: np.ndarray) -> float:
 def _row_blocks(n: int) -> list[slice]:
     """Row slices of an N x N array, about _BLOCK_ELEMS entries each."""
     rows = max(1, _BLOCK_ELEMS // n)
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _sq_dist_blocks(x: np.ndarray, out: np.ndarray) -> Iterator[slice]:
+    """Fills out (N x N) with |x_i - x_j|^2 = sum_k (x_ik - x_jk)^2, yielding each row block.
+
+    x_ik - x_jk only changes sign under i <-> j, so out is exactly symmetric with a zero
+    diagonal, and a shift of the particles cancels in each difference.  One scratch block.
+    """
+    xt = np.ascontiguousarray(x.T)
+    blocks = _row_blocks(x.shape[0])
+    tmp = np.empty((blocks[0].stop, x.shape[0]))
+    for blk in blocks:
+        rows, part = out[blk], tmp[:blk.stop - blk.start]
+        for k, col in enumerate(xt):
+            dst = part if k else rows
+            np.square(np.subtract(col[blk, None], col, out=dst), out=dst)
+            if k:
+                rows += part
+        yield blk
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clipped at 0.
-
-    x @ x.T is numpy's symmetric product (syrk), so the result is exactly
-    symmetric; it is the only N x N array the function allocates.
-    """
-    sq = np.sum(x * x, axis=1)
-    d2 = x @ x.T
-    d2 *= 2.0
-    for blk in _row_blocks(x.shape[0]):
-        np.subtract(np.add.outer(sq[blk], sq), d2[blk], out=d2[blk])
-        np.maximum(d2[blk], 0.0, out=d2[blk])
+    """|x_i - x_j|^2 (``_sq_dist_blocks``), the only N x N array the function allocates."""
+    d2 = np.empty((x.shape[0],) * 2)
+    list(_sq_dist_blocks(x, d2))  # fills every block
     return d2
 
 
@@ -264,13 +275,14 @@ def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
 def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndarray, float]:
     """The Markov matrix T of the particles x (N, d), its stationary weights pi, and eps.
 
-    The Gaussian kernel g_ij = exp(-|X^i - X^j|^2 / (4 eps)), eps "auto"
-    being the median rule on the same distances, is normalized to
-    k_ij = g_ij / sqrt(row_i row_j); T = k / deg_i and pi = deg / sum(deg).
-    The distances, g, k and T are built in place in one N x N buffer, in row
-    blocks of about 128 KB.  A kernel row with no off-diagonal mass, or a
-    kernel graph T_ij > 0 in several connected parts, leaves the fixed point
-    without a unique solution and raises ``GainSolveError``.
+    The Gaussian kernel g_ij = exp(-|X^i - X^j|^2 / (4 eps)) on distances summed
+    coordinate by coordinate (eps "auto" being the median rule on them) is
+    normalized by one vector s = row^(-1/2): T_ij = g_ij s_j / c_i, c = row sums
+    of g s, pi = deg / sum(deg), deg = s c; that is, k_ij = g_ij / sqrt(row_i row_j)
+    and T = k / deg_i.  T is built in one N x N buffer, in two passes over row
+    blocks of about 128 KB.  A row whose off-diagonal mass is lost to rounding,
+    or a kernel graph T_ij > 0 in several connected parts, leaves the fixed
+    point without a unique solution and raises ``GainSolveError``.
     """
     n = x.shape[0]
     if n < 2:
@@ -281,56 +293,54 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
-    # d2, then g, then k, then T, each overwriting the last in one buffer.
-    T = _pairwise_sq_dists(x)
+    T = _pairwise_sq_dists(x) if auto else np.empty((n, n))
     eps = _median_bandwidth(T) if auto else float(eps)
-    blocks = _row_blocks(n)
-    # g = exp(-d2 / (4 eps)) and its row sums; d2 / -(4 eps) has the bits of
-    # -d2 / (4 eps)
+    # g = exp(-d2 / (4 eps)) and its row sums: a numeric eps as each block's
+    # distances are made, "auto" after its median has read them all.
+    # d2 / -(4 eps) has the bits of -d2 / (4 eps)
     row = np.empty(n)
-    for blk in blocks:
+    for blk in _row_blocks(n) if auto else _sq_dist_blocks(x, T):
         np.divide(T[blk], -(4.0 * eps), out=T[blk])
         np.exp(T[blk], out=T[blk])
         T[blk].sum(axis=1, out=row[blk])
-    # Diagonal entries are exp(0) = 1, so row sums cannot vanish; but a row
-    # whose off-diagonal mass underflows becomes an identity row of T, which
-    # silently zeroes that particle's gain (and leaves the fixed point
-    # without a unique solution).
+    # exp(0) = 1 on the diagonal, so row == 1 where a row's off-diagonal mass is
+    # below the rounding of 1 + mass (about 1.1e-16), underflowing or not: an
+    # identity row of T to rounding, which silently zeroes that particle's gain
+    # (and leaves the fixed point without a unique solution).
     isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
     if isolated.size:
-        d2 = _pairwise_sq_dists(x)
+        del T                          # the hint's distances replace it
         first = int(isolated[0])
-        nearest = float(np.min(np.delete(d2[first], first)))
-        hint = "" if auto else f"; try eps around {_median_bandwidth(d2):.3e}"
+        nearest = float(np.min(np.delete(np.sum((x - x[first]) ** 2, axis=1), first)))
+        hint = "" if auto else f"; try eps around {_median_bandwidth(_pairwise_sq_dists(x)):.3e}"
         raise GainSolveError(
-            f"{isolated.size} of {n} particles isolated: their kernel rows have no "
-            f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
+            f"{isolated.size} of {n} particles isolated: their off-diagonal kernel mass is "
+            f"below the rounding of 1 at eps={eps:.3e} (first: particle {first}, "
             f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
-    # k = g / sqrt(row_i row_j), its row sums deg, then T = k / deg_i
-    deg = np.empty(n)
-    for blk in blocks:
-        norm = np.outer(row[blk], row)
-        np.sqrt(norm, out=norm)
-        T[blk] /= norm
-        T[blk].sum(axis=1, out=deg[blk])
-        T[blk] /= deg[blk, None]
-        del norm                       # before the next block's is made
+    s = 1.0 / np.sqrt(row)
+    c = np.empty(n)
+    for blk in _row_blocks(n):
+        T[blk] *= s
+        T[blk].sum(axis=1, out=c[blk])
+        T[blk] /= c[blk, None]
     sizes = _component_sizes(T)
     if len(sizes) > 1:
         raise GainSolveError(
             f"the kernel graph splits into {len(sizes)} components of sizes "
             f"{sorted(sizes, reverse=True)} at eps={eps:.3e}: no unique fixed point"
         )
+    deg = s * c
     return T, deg / deg.sum(), eps
 
 
 def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float | str) -> np.ndarray:
     """Diffusion-map gain approximation.
 
-    Builds the row-stochastic Markov matrix T of the Gaussian kernel and its
-    stationary weights pi (``_markov_matrix``), then solves the fixed-point
-    equation
+    Builds the row-stochastic Markov matrix T of the Gaussian kernel, on
+    distances summed coordinate by coordinate and normalized by one scaling
+    vector, and its stationary weights pi (``_markov_matrix``), then solves
+    the fixed-point equation
 
         Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
 
@@ -349,7 +359,7 @@ def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float |
 
     Memory: a call peaks at T and the upper triangle whose median sets eps
     ``"auto"`` (1.5 N x N float64 arrays), or at T and one row block with a
-    numeric eps; the solve adds only a few N x m vectors.
+    numeric eps (1.5 N x N for a refusal); the solve adds a few N x m vectors.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -59,11 +60,15 @@ def poisson_bvp_gain_1d(density, h, grid):
 def dense_diffusion_map_gain(particles, h_values, eps):
     """Reference: the diffusion map with one N x N array per stage and a dense solve.
 
-    The arithmetic of ``diffusion_map_gain`` written directly: d2, g, k, T,
-    eye(N), outer(1, pi) and the pinned matrix are separate arrays, the
-    median reads the upper triangle through ``np.triu_indices``, and the fixed
-    point is the LU solve of (I - T + 1 pi^T) Phi = rhs.  Returns
-    (eps, phi, T, pi); ``dense_readout`` reads the gain off.
+    The arithmetic of ``diffusion_map_gain`` written directly over whole
+    arrays: d2 from the (N, N, d) differences, g, g s, T, eye(N), outer(1, pi)
+    and the pinned matrix are separate arrays, the median reads the upper
+    triangle through ``np.triu_indices``, and the fixed point is the LU solve
+    of (I - T + 1 pi^T) Phi = rhs.  Returns (eps, phi, T, pi);
+    ``dense_readout`` reads the gain off.  np.sum adds the d squared
+    differences in order for d < 8, as the lean kernel does at every d, so
+    the two agree bit for bit there.  ``textbook_markov_matrix`` anchors its
+    T and pi to k = g / sqrt(row_i row_j), T = k / deg.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)
@@ -76,25 +81,27 @@ def dense_diffusion_map_gain(particles, h_values, eps):
             return 1.0
         return med / (4.0 * max(np.log(n), 1.0))
 
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
     eps = median_bandwidth(d2) if auto else float(eps)
     g = np.exp(-d2 / (4.0 * eps))
     row = g.sum(axis=1)
+    # row == 1: the off-diagonal mass is below the rounding of 1 + mass
+    # (about 1.1e-16), whether or not it underflows
     isolated = np.flatnonzero(row - 1.0 < n * 1e-300)
     if isolated.size:
         first = int(isolated[0])
         nearest = float(np.min(np.delete(d2[first], first)))
         hint = "" if auto else f"; try eps around {median_bandwidth(d2):.3e}"
         raise GainSolveError(
-            f"{isolated.size} of {n} particles isolated: their kernel rows have no "
-            f"off-diagonal mass at eps={eps:.3e} (first: particle {first}, "
+            f"{isolated.size} of {n} particles isolated: their off-diagonal kernel mass is "
+            f"below the rounding of 1 at eps={eps:.3e} (first: particle {first}, "
             f"nearest-neighbour squared distance {nearest:.3e}){hint}"
         )
-    k = g / np.sqrt(np.outer(row, row))
-    deg = k.sum(axis=1)
-    T = k / deg[:, None]
+    s = 1.0 / np.sqrt(row)
+    gs = g * s
+    c = gs.sum(axis=1)
+    T = gs / c[:, None]
+    deg = s * c
     pi = deg / deg.sum()
 
     hbar = pi @ h
@@ -102,6 +109,22 @@ def dense_diffusion_map_gain(particles, h_values, eps):
     pinned = np.eye(n) - T + np.outer(np.ones(n), pi)
     phi = np.linalg.solve(pinned, rhs)
     return eps, phi, T, pi
+
+
+def textbook_markov_matrix(x, eps):
+    """T and pi as the diffusion map is usually written (Coifman & Lafon 2006).
+
+    Distances in the expanded form |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at
+    0; k = g / sqrt(row_i row_j), deg = row sums of k, T = k / deg_i and
+    pi = deg / sum(deg), at a given numeric eps.
+    """
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    g = np.exp(-d2 / (4.0 * eps))
+    row = g.sum(axis=1)
+    k = g / np.sqrt(np.outer(row, row))
+    deg = k.sum(axis=1)
+    return k / deg[:, None], deg / deg.sum()
 
 
 def dense_readout(T, phi, eps, h, x):
@@ -152,6 +175,18 @@ def longdouble_fixed_point(particles, h_values, eps):
         phi = phi + np.linalg.solve(pinned, res.astype(float))
         phi -= pi @ phi
     return phi
+
+
+@contextmanager
+def traced_peak():
+    """Yields a list that holds, on exit, the tracemalloc peak in bytes of the block."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def diffusion_map_stages(particles, h_values, eps):
@@ -225,14 +260,6 @@ class TestConstantGain:
         gains = constant_gain(x, x @ H.T)
         target = Sigma @ H.T
         assert np.abs(gains[0] - target).max() <= 3.0 / np.sqrt(n) * 2.0
-
-    def test_translation_equivariance(self):
-        rng = RngStream(8)
-        x = rng.standard_normal((64, 3))
-        h = np.sin(x[:, 0])
-        base = constant_gain(x, h)
-        shifted = constant_gain(x + np.array([5.0, -2.0, 0.5]), h)
-        assert np.allclose(base, shifted, atol=1e-12)
 
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
@@ -447,6 +474,44 @@ class TestDiffusionMapGain:
         h = np.sin(x[:, :1] * np.arange(1, m + 1)) + x[:, -1:]
         assert_matches_dense(x, h, eps)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 300),
+        d=st.integers(1, 4),
+        eps=st.one_of(st.just("auto"), st.floats(0.05, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_textbook_arithmetic(self, n, d, eps, seed):
+        # the expanded-form distances carry an absolute rounding of a few
+        # u max|x|^2, which exp(-d2 / (4 eps)) turns into a relative one of
+        # u max|x|^2 / (4 eps) in g; the normalisations add a few u.  The
+        # worst of 1500 random inputs was 1.3 u (1 + max|x|^2 / eps) in T
+        # and 1.1 u in pi, relative to their maxima, u = 2.2e-16
+        x = RngStream(seed).standard_normal((n, d))
+        stage = _unless_refused(gain._markov_matrix, x, eps)
+        if stage is None:
+            return
+        T, pi, eps = stage
+        T_ref, pi_ref = textbook_markov_matrix(x, eps)
+        tol = 8 * np.finfo(float).eps * (1.0 + np.sum(x * x, axis=1).max() / eps)
+        assert np.abs(T - T_ref).max() <= tol * T_ref.max()
+        assert np.abs(pi - pi_ref).max() <= tol * pi_ref.max()
+
+    @pytest.mark.parametrize("eps", [0.3, "auto"])
+    def test_block_size_changes_no_bit(self, monkeypatch, eps):
+        # at N = 300: one row per block (40 entries), 54 rows with a partial
+        # last block (2**14) and one block (2**20)
+        x = RngStream(23).standard_normal((300, 2))
+        stages = []
+        for elems in (40, 2**14, 2**20):
+            monkeypatch.setattr(gain, "_BLOCK_ELEMS", elems)
+            stages.append(gain._markov_matrix(x, eps))
+        T, pi, eps_used = stages[0]
+        for T_b, pi_b, eps_b in stages[1:]:
+            assert eps_b == eps_used
+            np.testing.assert_array_equal(T_b, T)
+            np.testing.assert_array_equal(pi_b, pi)
+
     def test_two_particle_solve_ignores_the_pinned_mean(self):
         # rounding in hbar leaves pi^T rhs != 0, a residual along the constant
         # vector that no conjugate-gradient step can reduce; measured with it,
@@ -516,19 +581,29 @@ class TestDiffusionMapGain:
     def test_traced_peak_two_arrays(self):
         # with eps "auto", T and the upper triangle the median selects in
         # (1.5 N^2); with a numeric eps, T and one row block of about 128 KB
-        # (1.04 N^2 at N = 1000).  The solve holds only T (the dense
+        # (1.02-1.04 N^2 at N = 1000).  The solve holds only T (the dense
         # reference peaked at about 6 N^2)
         n = 1000
         x = RngStream(21).standard_normal((n, 2))
-        for eps, bound in (("auto", 1.6), (0.3, 1.25)):
+        for eps, bound in (("auto", 1.6), (0.3, 1.1)):
             diffusion_map_gain(x, x[:, :1], eps)
-            tracemalloc.start()
-            try:
+            with traced_peak() as peak:
                 diffusion_map_gain(x, x[:, :1], eps)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * n * n * 8, eps
+            assert peak[0] <= bound * n * n * 8, eps
+
+    @pytest.mark.parametrize("eps", [0.3, "auto"])
+    def test_traced_peak_refused_call(self, eps):
+        # the refusal reads the nearest neighbour from one row of distances,
+        # and a numeric eps's hint builds its distances and median (1.5 N^2)
+        # only after T is released (the two arrays together peaked at 2.5 N^2)
+        n = 1000
+        x = np.append(RngStream(21).standard_normal((n - 1, 2)), [[50.0, 50.0]], axis=0)
+        refused = partial(pytest.raises, GainSolveError, match=f"1 of {n} particles isolated")
+        with refused():
+            diffusion_map_gain(x, x[:, :1], eps)
+        with traced_peak() as peak, refused():
+            diffusion_map_gain(x, x[:, :1], eps)
+        assert peak[0] <= 1.6 * n * n * 8
 
     def test_auto_bandwidth_positive(self):
         x = make_bimodal(0.2).sample(RngStream(3), 50)
@@ -576,6 +651,7 @@ class TestDiffusionMapGain:
         x = RngStream(n + d).standard_normal((n, d))
         d2 = gain._pairwise_sq_dists(x)
         np.testing.assert_array_equal(d2, d2.T)
+        assert np.all(np.diag(d2) == 0.0)
 
     def test_auto_bandwidth_loads_no_numpy_ma(self):
         # np.median imports numpy.ma; loaded inside a timed gain call, its
@@ -768,6 +844,49 @@ class TestPermutationEquivariance:
             return
         scale = _rounding_scale(kind, x, h, values)
         assert np.abs(permuted - values[perm]).max() <= 1e-13 * scale
+
+
+def _sum_scale(kind, x, h, gains):
+    """The sum of magnitudes each gain is read off from, at the particles x.
+
+    The constant gain, and Galerkin on the coordinate basis, are
+    (1/N) sum_j X^j (h_j - hbar); the diffusion map's readout is
+    ``_rounding_scale``'s.  Both grow with |X|, so with a translation.
+    """
+    if kind in ("constant", "galerkin"):
+        return (np.abs(x).T @ np.abs(h - h.mean(axis=0))).max() / x.shape[0]
+    return _rounding_scale(kind, x, h, gains)
+
+
+class TestTranslationEquivariance:
+    """Translating the particles leaves the gains unchanged, to the rounding
+    of the shifted coordinates.
+
+    x + c rounds each coordinate to the grid of c, so the gains are compared
+    with those of (x + c) - c, the particles the shifted ones represent
+    exactly; the conditioning of the gain in its input then drops out.
+    What is left is rounding at coordinates of size up to c: in the sums the
+    gains are read off from (``_sum_scale``), and, in the diffusion map, in
+    the kernel's distances.  Differences of coordinates are exact there, so
+    its T is that of (x + c) - c and only the readout rounds differently.
+    The worst of 9000 random inputs was 9.8 u of that scale, u = 2.2e-16;
+    distances in the expanded form |x_i|^2 + |x_j|^2 - 2 x_i.x_j reached
+    1e4 u at c = 1e4 and 62 u at c = 100.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**GAIN_CASES, shift=st.sampled_from([1.0, 1e2, 1e4]))
+    def test_translating_particles_leaves_gains(self, kind, n, d, m, seed, shift):
+        _, x, h = _gain_case(n, d, m, seed)
+        shifted = x + shift
+        gain_method = _gain_method(kind, d)
+        values = _unless_refused(gain_method, shifted - shift, h)
+        moved = _unless_refused(gain_method, shifted, h)
+        assert (values is None) == (moved is None)
+        if values is None:
+            return
+        scale = _sum_scale(kind, shifted, h, moved)
+        assert np.abs(moved - values).max() <= 1e-14 * scale
 
 
 def test_bump_basis_gradients_validate():
