@@ -19,6 +19,7 @@ bit-identical whether cells run sequentially or on a worker pool.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -66,7 +67,7 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"nonfinite value {v!r} in result table")
         return f"{v:.17g}"
     return str(value)

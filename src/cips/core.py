@@ -4,8 +4,9 @@ Conventions enforced here and relied on everywhere else:
 
 * every random draw flows through an :class:`RngStream`, so a pipeline is a
   pure function of its seed;
-* empirical reductions are done in particle-index order (no pairwise /
-  threaded summation), which makes single-threaded runs bit-reproducible;
+* an ensemble mean sums each coordinate pairwise over one contiguous copy,
+  so the same particles give the same bits whatever their memory layout,
+  and single-threaded runs are bit-reproducible;
 * near-PSD matrices with round-off eigenvalues in ``[-1e-10 * trace, 0)``
   are repaired by clipping, anything more negative is an error;
 * a singular empirical covariance gets one diagonal-jitter retry before it
@@ -79,14 +80,20 @@ def symmetrize(mat: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 
 
 def empirical_moments(particles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and unbiased (N-1)-normalized covariance."""
+    """Ensemble mean and unbiased (N-1)-normalized covariance.
+
+    Per call, the (N, d) particles are copied once into d contiguous
+    coordinate rows (no copy when d = 1) and each row is summed pairwise, so
+    C-ordered, F-ordered and strided particles give the same bits.  Nothing
+    is formed once per sweep; an ensemble state caches its own moments.
+    """
     x = np.asarray(particles, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
     if n < 2:
         raise ValueError("empirical moments require at least 2 particles")
-    mean = x.mean(axis=0)
+    mean = np.ascontiguousarray(x.T).sum(axis=1) / n
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
     return mean, 0.5 * (cov + cov.T)

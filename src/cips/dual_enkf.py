@@ -15,6 +15,10 @@ Everything runs under oracle access: when the problem withholds any of the
 matrices (A, B, C), the drift of the whole ensemble is one row-wise call of
 f(., 0) per step, and B and C come from one batched unit-vector probe of
 each oracle.
+
+The constants of a sweep are formed once, in :class:`_LQOps`: B, C^T C, the
+exploration-noise factor L^{-1} (L L^T = R) and R^{-1} B^T.  What is left
+per step is the particle update and one d x d solve for (S^(N))^{-1}.
 """
 
 from __future__ import annotations
@@ -30,13 +34,19 @@ from .models import LQProblem, call_rowwise, grid_steps, lq_matrices
 
 
 class _LQOps:
-    """Matrix products through explicit matrices or row-wise oracle calls."""
+    """Matrix products through explicit matrices or row-wise oracle calls.
+
+    Formed once per sweep: B, C^T C, ``noise`` = L^{-1} with L L^T = R, so
+    that z @ noise has covariance (L L^T)^{-1} = R^{-1} for z ~ N(0, I)
+    rows, and ``rinv_bt`` = R^{-1} B^T.  Per step only the drift is called.
+    """
 
     def __init__(self, lq: LQProblem):
         self.lq = lq
         _, self.B, C = lq_matrices(lq)
         self.ctc = C.T @ C
-        self.chol_R = np.linalg.cholesky(lq.R)
+        self.noise = np.linalg.inv(np.linalg.cholesky(lq.R))
+        self.rinv_bt = np.linalg.solve(lq.R, self.B.T)
 
     def drift(self, states: np.ndarray) -> np.ndarray:
         """A @ Y^i for every row of ``states``; one oracle call when A is withheld."""
@@ -80,7 +90,7 @@ def dual_enkf_backward_step(
 
     coupling = 0.5 * ((y + n_mean) @ ops.ctc.T) @ S.T
     z = rng.standard_normal((y.shape[0], lq.dim_input))
-    xi = np.sqrt(dt) * np.linalg.solve(ops.chol_R.T, z.T).T   # cov R^{-1} dt
+    xi = np.sqrt(dt) * (z @ ops.noise)   # cov R^{-1} dt
 
     y_new = y - (ops.drift(y) + coupling) * dt - xi @ ops.B.T
     if not np.all(np.isfinite(y_new)):
@@ -104,7 +114,7 @@ def value_matrix(st: Ensemble) -> np.ndarray:
 def extract_gain(st: Ensemble, lq: LQProblem, ops: _LQOps | None = None) -> np.ndarray:
     """Feedback gain -R^{-1} B^T P^(N), shape (m, d)."""
     ops = ops or _LQOps(lq)
-    return -np.linalg.solve(lq.R, ops.B.T @ value_matrix(st))
+    return -(ops.rinv_bt @ value_matrix(st))
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,19 @@ class TestRunDualEnkf:
         assert len(calls) == 1 + 10
         assert calls[1:] == [(100, 2)] * 10
 
+    def test_one_solve_per_step(self, monkeypatch):
+        # R's factors are formed once per sweep; each step solves only for
+        # S^{-1}.  Fixed per sweep: the terminal draw, R^{-1} B^T and the
+        # terminal S^{-1}
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+        lq = make_lq_canonical(2, RngStream(9))
+        for horizon, steps in [(0.2, 10), (0.4, 20)]:
+            calls.clear()
+            run_dual_enkf(replace(lq, horizon=horizon), 100, 0.02, RngStream(10))
+            assert len(calls) == steps + 3
+
     def test_per_point_oracle_rejected(self):
         # written for one point: x[1] is a row of the batch, not a coordinate
         lq = LQProblem(
@@ -287,3 +300,22 @@ def test_value_matrix_singular_covariance_raises():
     ens = Ensemble(np.ones((5, 2)))
     with pytest.raises(NotPositiveDefiniteError):
         value_matrix(ens)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_exploration_noise_has_covariance_r_inverse(m, seed):
+    # z @ noise has covariance noise^T noise = R^{-1}; the transposed factor
+    # inv(L).T would give (L^T L)^{-1} instead, which differs for a
+    # non-diagonal R
+    gen = np.random.default_rng(seed)
+    G = gen.uniform(-1.0, 1.0, (m, m))
+    R = G @ G.T + 0.5 * np.eye(m)
+    lq = replace(make_lq_canonical(2, RngStream(1)), R=R,
+                 B=gen.uniform(-1.0, 1.0, (2, m)))
+    ops = _LQOps(lq)
+    R_inv = np.linalg.inv(R)
+    assert np.linalg.norm(ops.noise.T @ ops.noise - R_inv) <= 1e-12 * np.linalg.norm(R_inv)
+    z = gen.standard_normal((50, m))
+    ref = np.linalg.solve(np.linalg.cholesky(R).T, z.T).T
+    assert np.linalg.norm(z @ ops.noise - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cips.core import RngStream
 from cips.exceptions import NotPositiveDefiniteError
@@ -45,6 +47,19 @@ class TestEmpiricalMoments:
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
             empirical_moments(np.array([[1.0]]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 2000), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_for_every_layout(self, n, d, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.uniform(-5.0, 5.0, d) + gen.uniform(0.1, 10.0) * gen.standard_normal((n, d))
+        strided = np.zeros((2 * n, d + 1))
+        strided[::2, 1:] = x
+        mean, cov = empirical_moments(x)
+        for other in (np.asfortranarray(x), strided[::2, 1:]):
+            other_mean, other_cov = empirical_moments(other)
+            np.testing.assert_array_equal(other_mean, mean)
+            np.testing.assert_array_equal(other_cov, cov)
 
 
 class TestConsistencyEquation:
