@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import RngStream
+from .core import RngStream, empirical_moments
 from .exceptions import ConfigError
 from .gain import diffusion_map_gain, exact_gain_1d
 from .kalman import solve_dre_backward
@@ -178,10 +178,6 @@ def _map_ordered(cell, cfg: RunConfig, *axes: int) -> list:
 # Static benchmark: PF / modified PF / FPF estimator MSE
 # ---------------------------------------------------------------------------
 
-def _unit_direction(d: int) -> np.ndarray:
-    return np.ones(d) / np.sqrt(d)
-
-
 def _replicate_mse(sq_errors, reps: int, rng: RngStream, chunk: int) -> tuple[float, float]:
     """Mean of ``reps`` replicates' squared errors, and its standard error.
 
@@ -212,12 +208,13 @@ def static_pf_mse(
     compares the estimate of f(x) = 1^T x / sqrt(d) against the exact
     posterior mean of f.
     """
-    a = _unit_direction(d)
+    a = np.ones(d) / np.sqrt(d)
 
     def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
         z1 = truth + sigma_w * sub.standard_normal((take, d))
-        samples = sigma0 * sub.standard_normal((take, num_particles, d))
+        samples = sub.standard_normal((take, num_particles, d))
+        samples *= sigma0
         target = (z1 @ a) * sigma0**2 / (sigma0**2 + sigma_w**2)
 
         fvals = samples @ a
@@ -228,7 +225,7 @@ def static_pf_mse(
             est = self_normalized_estimate(samples, z1, sigma_w, fvals)
         return (est - target) ** 2
 
-    # Keep the working set bounded: reps x chunk x d arrays.
+    # Keep the working set bounded: the chunk x N x d draw and three chunk x N arrays.
     chunk = max(1, min(chunk, int(2e7 // max(num_particles * d, 1)) or 1))
     return _replicate_mse(sq_errors, reps, rng, chunk)
 
@@ -255,20 +252,19 @@ def static_fpf_mse(
 
         m <- m + (dZ - m dt) Sigma / sigma_w^2,      Sigma <- F^T Sigma F.
 
-    The prior draw is still made (it fixes the RNG stream and the initial
-    empirical moments, ddof 1); after it each step costs O(d^3) per
-    replicate instead of O(N d^2), and the estimate is m . a.
+    The prior draw is still made (it fixes the RNG stream and, through
+    ``empirical_moments``, the initial moments); after it each step costs
+    O(d^3) per replicate instead of O(N d^2), and the estimate is m . a.
     """
-    a = _unit_direction(d)
+    a = np.ones(d) / np.sqrt(d)
     num_steps = grid_steps(1.0, dt)
     eye = np.eye(d)
 
     def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
-        x = sigma0 * sub.standard_normal((take, num_particles, d))
-        mean = x.mean(axis=1)
-        centered = x - mean[:, None, :]
-        cov = centered.transpose(0, 2, 1) @ centered / (num_particles - 1)
+        x = sub.standard_normal((take, num_particles, d))
+        x *= sigma0
+        mean, cov = empirical_moments(x)
         z1 = np.zeros((take, d))
         for k in range(num_steps):
             dw = sigma_w * np.sqrt(dt) * sub.standard_normal((take, d))

@@ -54,7 +54,9 @@ class RngStream:
         return RngStream(self.seed, self._path + (int(index),))
 
     def __getattr__(self, name):
-        # Delegate sampling methods (standard_normal, random, integers, ...).
+        # Delegate sampling methods; copy and pickle probe private names before _gen is set.
+        if name.startswith("_"):
+            raise AttributeError(name)
         return getattr(self._gen, name)
 
     def __repr__(self):  # pragma: no cover
@@ -82,21 +84,22 @@ def symmetrize(mat: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 def empirical_moments(particles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble mean and unbiased (N-1)-normalized covariance.
 
-    Per call, the (N, d) particles are copied once into d contiguous
-    coordinate rows (no copy when d = 1) and each row is summed pairwise, so
-    C-ordered, F-ordered and strided particles give the same bits.  Nothing
-    is formed once per sweep; an ensemble state caches its own moments.
+    Batched: (..., N, d) particles give (..., d) and (..., d, d).  They are
+    copied once into contiguous coordinate rows, each summed pairwise and
+    centred in place, so every memory layout, and each ensemble of a batch
+    alone, gives the same bits.  An ensemble state caches its own moments.
     """
     x = np.asarray(particles, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n = x.shape[0]
+    n = x.shape[-2]
     if n < 2:
         raise ValueError("empirical moments require at least 2 particles")
-    mean = np.ascontiguousarray(x.T).sum(axis=1) / n
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    return mean, 0.5 * (cov + cov.T)
+    rows = np.array(x.swapaxes(-1, -2), order="C")
+    mean = rows.sum(axis=-1) / n
+    rows -= mean[..., None]
+    cov = rows @ rows.swapaxes(-1, -2) / (n - 1)
+    return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def solve_with_jitter(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -62,11 +62,23 @@ def ess(weights: np.ndarray) -> float:
 
 
 def _shifted_weights(logw: np.ndarray) -> np.ndarray:
-    """exp(logw - max) along the last axis, so the largest weight is 1."""
+    """exp(logw - max) along the last axis, in place, so the largest weight is 1."""
     top = logw.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise WeightCollapseError("all importance weights collapsed to zero")
-    return np.exp(logw - top)
+    logw -= top
+    return np.exp(logw, out=logw)
+
+
+def _log_likelihood(samples: np.ndarray, z1: np.ndarray, sigma_w: float) -> np.ndarray:
+    """-|Z_1 - X^i|^2 / (2 sigma_w^2), (..., N), in place in np.sum's order for d < 8."""
+    out = np.square(z1[..., None, 0] - samples[..., 0])
+    diff = np.empty_like(out)
+    for k in range(1, samples.shape[-1]):
+        np.subtract(z1[..., None, k], samples[..., k], out=diff)
+        out += np.square(diff, out=diff)
+    out /= -2.0 * sigma_w**2  # -(sum) / (2 sigma_w^2) bit for bit: rounding is sign-symmetric
+    return out
 
 
 def self_normalized_estimate(
@@ -82,8 +94,7 @@ def self_normalized_estimate(
     sum_i w_i f_i / sum_i w_i with w_i proportional to
     exp(-|Z_1 - X^i|^2 / (2 sigma_w^2)), stabilized through log-sum-exp.
     """
-    log_num = -np.sum((z1[..., None, :] - samples) ** 2, axis=-1) / (2 * sigma_w**2)
-    w = _shifted_weights(log_num)
+    w = _shifted_weights(_log_likelihood(samples, z1, sigma_w))
     return np.sum(w * fvals, axis=-1) / np.sum(w, axis=-1)
 
 
@@ -103,13 +114,13 @@ def modified_weights(
     """
     n, d = samples.shape[-2:]
     s2 = sigma0**2 + sigma_w**2
-    log_num = -np.sum((z1[..., None, :] - samples) ** 2, axis=-1) / (2.0 * sigma_w**2)
-    log_den = (
+    log_w = _log_likelihood(samples, z1, sigma_w)
+    log_w -= (
         np.log(n)
         + 0.5 * d * np.log(sigma_w**2 / s2)
         - np.sum(z1**2, axis=-1) / (2.0 * s2)
-    )
-    return np.exp(log_num - log_den[..., None])
+    )[..., None]
+    return np.exp(log_w, out=log_w)
 
 
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 None of these is run by a ``cips`` command.  Each either computes an exact
 reference (the dual Riccati equation, the static posterior, the closed-form
-MSE of the exact-denominator estimator) or states an identity of the survey
+MSE of the exact-denominator estimator, the direct formulas of the static
+importance-sampling estimators) or states an identity of the survey
 (the consistency equation of the ensemble filters, the Hamiltonian policy,
 the empirical objective that the Galerkin gain minimises).  The two 1-D test
 bases check their gradients by finite differences when they are built.
@@ -240,6 +241,30 @@ def empirical_objective(particles: np.ndarray, h_values: np.ndarray,
     quad = 0.5 * np.einsum("ndj,ndj->j", grad_f, grad_f) / n
     lin = np.einsum("nj,nj->j", f_val, centered) / n
     return quad - lin
+
+
+# ---------------------------------------------------------------------------
+# Static importance-sampling estimators: the direct formulas
+# ---------------------------------------------------------------------------
+
+def _log_likelihood_direct(samples: np.ndarray, z1: np.ndarray, sigma_w: float) -> np.ndarray:
+    """-|Z_1 - X^i|^2 / (2 sigma_w^2), summed by numpy over the last axis."""
+    return -np.sum((z1[..., None, :] - samples) ** 2, axis=-1) / (2.0 * sigma_w**2)
+
+
+def self_normalized_estimate_direct(samples, z1, sigma_w, fvals) -> np.ndarray:
+    """sum_i w_i f_i / sum_i w_i, the weights formed as one (..., N, d) array."""
+    log_w = _log_likelihood_direct(samples, z1, sigma_w)
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    return np.sum(w * fvals, axis=-1) / np.sum(w, axis=-1)
+
+
+def modified_weights_direct(samples, z1, sigma0, sigma_w) -> np.ndarray:
+    """exp(-|Z_1 - X^i|^2 / (2 sigma_w^2)) / (N D(Z_1)), from one (..., N, d) array."""
+    n, d = samples.shape[-2:]
+    s2 = sigma0**2 + sigma_w**2
+    log_den = np.log(n) + 0.5 * d * np.log(sigma_w**2 / s2) - np.sum(z1**2, axis=-1) / (2.0 * s2)
+    return np.exp(_log_likelihood_direct(samples, z1, sigma_w) - log_den[..., None])
 
 
 # ---------------------------------------------------------------------------

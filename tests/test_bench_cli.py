@@ -34,6 +34,22 @@ from oracles import (
     modified_pf_conditional_var,
     modified_pf_mse_exact,
 )
+from test_gain import traced_peak
+
+# Rows of `cips bench --experiment mse-levelsets --d-list 1,2,3 --n-list 50
+# --reps 20 --seed 7`, pinned from cells that formed (reps, N, d) temporaries
+# and summed the FPF's initial mean row by row.
+LEVELSETS_GOLDEN_ROWS = """\
+pf,1,50,0.005951149798728711,0.0016781561929687394
+pf,2,50,0.034239890630825671,0.01378354704981068
+pf,3,50,0.013722710975825059,0.0038179819310855778
+pf-modified,1,50,0.030703506014880439,0.0092692041663848153
+pf-modified,2,50,0.0455859148390413,0.01785207040385467
+pf-modified,3,50,0.076420943733215785,0.031058481208090679
+fpf,1,50,0.0064797510963659332,0.0016079295421990132
+fpf,2,50,0.007211322323811868,0.0020799358789296051
+fpf,3,50,0.01722104089123053,0.004948293390813408
+""".splitlines()
 
 
 class TestRunConfig:
@@ -248,6 +264,17 @@ class TestStaticBenchmarkCells:
             large, _ = static_method_mse(method, 1, 4000, 300, rng.substream(2))
             assert large < small
 
+    @pytest.mark.parametrize("modified", [False, True], ids=["pf", "pf-modified"])
+    @pytest.mark.parametrize("d, bound", [(1, 4.2), (3, 6.2)])
+    def test_traced_peak_of_one_chunk(self, d, bound, modified):
+        # one 256-replicate chunk holds its (chunk, N, d) draw and at most
+        # three (chunk, N) buffers; a (chunk, N, d) temporary would add d
+        n, chunk = 1000, 256
+        static_pf_mse(d, n, chunk, RngStream(8), modified=modified)
+        with traced_peak() as peak:
+            static_pf_mse(d, n, chunk, RngStream(8), modified=modified)
+        assert peak[0] <= bound * chunk * n * 8
+
     def test_pf_modified_plain_average_sanity_band(self):
         # The plain replicate average of the exact-denominator estimator's
         # squared error is heavy-tailed (tail index 3/2) and typically reads
@@ -325,6 +352,24 @@ class TestCli:
     def test_bench_requires_experiment(self, capsys):
         assert main(["bench"]) == 2
         assert "experiment" in capsys.readouterr().err
+
+    def test_levelsets_golden_rows(self, tmp_path):
+        # the importance-sampling rows and the d = 1 FPF row keep every
+        # byte; at d >= 2 the FPF's pairwise initial mean moves the last bits
+        out = tmp_path / "levelsets.csv"
+        assert main(["bench", "--experiment", "mse-levelsets", "--d-list", "1,2,3",
+                     "--n-list", "50", "--reps", "20", "--seed", "7", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "method,d,N,mse,stderr"
+        assert len(rows[1:]) == len(LEVELSETS_GOLDEN_ROWS)
+        for got, want in zip(rows[1:], LEVELSETS_GOLDEN_ROWS):
+            if want.startswith("fpf,") and not want.startswith("fpf,1,"):
+                assert got.split(",")[:3] == want.split(",")[:3]
+                np.testing.assert_allclose([float(v) for v in got.split(",")[3:]],
+                                           [float(v) for v in want.split(",")[3:]],
+                                           rtol=1e-14, atol=0)
+            else:
+                assert got == want
 
     def test_bench_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -1,8 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cips.core import (
     RngStream,
+    empirical_moments,
     is_positive_definite,
     psd_factor,
     sample_gaussian,
@@ -37,6 +42,50 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_keep_the_stream(self, clone):
+        # the clone draws next what the original would have drawn next, and
+        # derives the same substreams
+        stream, expected = RngStream(3).substream(1), RngStream(3).substream(1)
+        stream.standard_normal(4)
+        expected.standard_normal(4)
+        twin = clone(stream)
+        assert (twin.seed, twin._path) == (3, (1,))
+        assert np.array_equal(twin.standard_normal(5), expected.standard_normal(5))
+        assert np.array_equal(twin.substream(2).standard_normal(5),
+                              RngStream(3).substream(1).substream(2).standard_normal(5))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["deepcopy", "pickle"])
+    def test_deep_clone_draws_independently(self, clone):
+        stream = RngStream(3)
+        twin = clone(stream)
+        assert np.array_equal(twin.standard_normal(5), stream.standard_normal(5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=st.sampled_from([(1,), (3,), (2, 3)]), n=st.integers(2, 300),
+       d=st.integers(1, 6), layout=st.sampled_from(["C", "F", "strided"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_moments_are_each_ensembles_own(batch, n, d, layout, seed):
+    # a batch of ensembles gives, bit for bit, the moments of each 2-D call
+    gen = np.random.default_rng(seed)
+    x = gen.uniform(-5.0, 5.0, d) + gen.uniform(0.1, 10.0) * gen.standard_normal(batch + (n, d))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        wide = np.zeros(batch + (2 * n, d + 1))
+        wide[..., ::2, 1:] = x
+        x = wide[..., ::2, 1:]
+    mean, cov = empirical_moments(x)
+    assert mean.shape == batch + (d,) and cov.shape == batch + (d, d)
+    for idx in np.ndindex(*batch):
+        one_mean, one_cov = empirical_moments(np.array(x[idx]))
+        assert np.array_equal(mean[idx], one_mean)
+        assert np.array_equal(cov[idx], one_cov)
 
 
 class TestSampleGaussian:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cips.core import RngStream
 from cips.exceptions import WeightCollapseError
@@ -14,6 +15,8 @@ from cips.sir import (
     systematic_resample,
     uniform_weighted,
 )
+
+from oracles import modified_weights_direct, self_normalized_estimate_direct
 
 # High-precision oracle from 200k replications: MSE of the self-normalized
 # static estimator at d=1, N=1000, sigma0=sigma_w=1, f(x)=x.  Frozen here to
@@ -82,6 +85,22 @@ class TestStaticEstimators:
             sums[i] = modified_weights(samples, z1, 1.0, 1.0) @ np.ones(n)
         stderr = sums.std(ddof=1) / np.sqrt(reps)
         assert abs(sums.mean() - 1.0) <= 4 * stderr
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 6), batch=st.sampled_from([(), (3,), (2, 3)]),
+           n=st.integers(1, 60), sigma0=st.floats(0.2, 5.0), sigma_w=st.floats(0.2, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_direct_formulas(self, d, batch, n, sigma0, sigma_w, seed):
+        # the coordinates are summed in place in the order numpy sums a
+        # short last axis, so nothing moves, not even in the last bit
+        gen = np.random.default_rng(seed)
+        samples = sigma0 * gen.standard_normal(batch + (n, d))
+        z1 = gen.uniform(-3.0, 3.0) + np.hypot(sigma0, sigma_w) * gen.standard_normal(batch + (d,))
+        fvals = gen.standard_normal(batch + (n,))
+        assert np.array_equal(self_normalized_estimate(samples, z1, sigma_w, fvals),
+                              self_normalized_estimate_direct(samples, z1, sigma_w, fvals))
+        assert np.array_equal(modified_weights(samples, z1, sigma0, sigma_w),
+                              modified_weights_direct(samples, z1, sigma0, sigma_w))
 
     def test_modified_prior_must_be_centered_gaussian(self):
         # the closed-form denominator assumes N(0, sigma0^2 I); weights for a
