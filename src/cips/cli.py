@@ -372,7 +372,8 @@ def cmd_gain_study(args: argparse.Namespace) -> int:
         cfg = RunConfig(experiment="bias-variance", seed=opts["seed"], reps=opts["reps"],
                         n_list=opts["n_list"], eps_list=opts["eps_list"],
                         bimodal_sigma2=opts["sigma2"], jobs=opts["jobs"])
-    _write_or_print(gain_study_table(cfg), args.out)
+        table = gain_study_table(cfg)
+    _write_or_print(table, args.out)
     return 0
 
 
@@ -458,7 +459,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _, opts = _read_options(args)
     with _setup_errors():
         cfg = RunConfig(**{**_BENCH_DEFAULTS[opts["experiment"]], **opts})
-    _write_or_print(EXPERIMENTS[cfg.experiment](cfg), args.out)
+        table = EXPERIMENTS[cfg.experiment](cfg)
+    _write_or_print(table, args.out)
     return 0
 
 

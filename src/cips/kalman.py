@@ -4,8 +4,8 @@ These are the ground-truth oracles against which every ensemble method in
 the package is compared, so accuracy choices here (RK4 for the Riccati
 differential equations, per-step re-symmetrization) are deliberately
 conservative.  The algebraic Riccati equation is solved directly: the
-matrix sign function of its Hamiltonian gives the stable invariant
-subspace, and Newton-Kleinman steps polish the root to rounding.
+stable eigenvectors of its Hamiltonian span the stable invariant subspace,
+and Newton-Kleinman steps polish the root until a step stops shrinking.
 """
 
 from __future__ import annotations
@@ -134,27 +134,6 @@ def solve_dre_backward(lq: LQProblem, dt: float) -> RiccatiPath:
     return _integrate_backward(lq, dt, lq.P_T, rhs, "Riccati")
 
 
-# The sign iteration stops once a step moves Z by at most SIGN_RTOL of |Z|
-# (entrywise 1-norms), or gives up after SIGN_MAXITER steps.
-SIGN_RTOL = 1e-10
-SIGN_MAXITER = 100
-
-
-def _matrix_sign(Z: np.ndarray) -> np.ndarray:
-    """Newton iteration Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}."""
-    n = Z.shape[0]
-    for _ in range(SIGN_MAXITER):
-        det = abs(np.linalg.det(Z))
-        c = det ** (-1.0 / n) if 0.0 < det < np.inf else 1.0
-        Z_new = 0.5 * (c * Z + np.linalg.inv(Z) / c)
-        if not np.all(np.isfinite(Z_new)):
-            raise ConvergenceError("matrix sign iteration became nonfinite")
-        if np.abs(Z_new - Z).sum() <= SIGN_RTOL * np.abs(Z_new).sum():
-            return Z_new
-        Z = Z_new
-    raise ConvergenceError(f"matrix sign iteration did not converge in {SIGN_MAXITER} steps")
-
-
 def _newton_kleinman_step(P: np.ndarray, A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve the Lyapunov equation A_P^T X + X A_P + Q + P G P = 0, A_P = A - G P."""
     d = A.shape[0]
@@ -169,41 +148,33 @@ def _is_stabilizing(P: np.ndarray, A: np.ndarray, G: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(P)) and np.max(np.linalg.eigvals(A - G @ P).real) < 0)
 
 
-def _stable_graph(W: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """P with [I; P] spanning the null space of W + I, the stable subspace."""
-    d = A.shape[0]
-    eye = np.eye(d)
-    # Top block row alone: W12 = -2 (P - P_u)^{-1}, with P_u the
-    # anti-stabilizing solution, is invertible for controllable problems and
-    # keeps the conditioning of P - P_u, where least squares would square it.
-    try:
-        P = np.linalg.solve(W[:d, d:], -(W[:d, :d] + eye))
-        if _is_stabilizing(P, A, G):
-            return P
-    except np.linalg.LinAlgError:
-        pass
-    # An uncontrollable stable mode makes W12 singular: least squares over
-    # both block rows, [W12; W22 + I] P = -[W11 + I; W21].
-    M = np.vstack([W[:d, d:], W[d:, d:] + eye])
-    rhs = -np.vstack([W[:d, :d] + eye, W[d:, :d]])
-    return np.linalg.solve(M.T @ M, M.T @ rhs)
-
-
 def solve_are(lq: LQProblem) -> np.ndarray:
     """Stabilizing solution of A^T P + P A + C^T C - P B R^{-1} B^T P = 0.
 
-    The sign W of the Hamiltonian [[A, -G], [-C^T C, -A^T]], G = B R^{-1} B^T,
-    has the stable invariant subspace [I; P] as the null space of W + I.
-    Two Newton-Kleinman steps then remove the rounding of the sign
-    iteration.  Raises ``ConvergenceError`` when no stabilizing solution
-    exists (an unstabilizable or undetectable problem).
+    The d eigenvectors [V1; V2] of the Hamiltonian [[A, -G], [-C^T C, -A^T]],
+    G = B R^{-1} B^T, whose eigenvalues have negative real part span the
+    stable invariant subspace [I; P], so P is the real part of V2 V1^{-1}.
+    Newton-Kleinman steps then polish P until a step stops shrinking.
+    Raises ``ConvergenceError`` when no stabilizing solution exists (an
+    unstabilizable or undetectable problem).
     """
     A, G, Q = riccati_weights(lq)
+    d = A.shape[0]
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            P = _stable_graph(_matrix_sign(np.block([[A, -G], [-Q, -A.T]])), A, G)
-            for _ in range(2):
-                P = _newton_kleinman_step(P, A, G, Q)
+            w, V = np.linalg.eig(np.block([[A, -G], [-Q, -A.T]]))
+            V = V[:, w.real < 0]
+            if V.shape[1] != d:
+                raise np.linalg.LinAlgError(f"{V.shape[1]} of {2 * d} eigenvalues are stable")
+            P = np.linalg.solve(V[:d].T, V[d:].T).T.real
+            last_step = np.inf
+            while True:
+                P_next = _newton_kleinman_step(P, A, G, Q)
+                step = np.linalg.norm(P_next - P)
+                P = P_next
+                if not step < last_step:  # a nonfinite step ends the loop too
+                    break
+                last_step = step
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"no stabilizing Riccati solution ({exc}); "

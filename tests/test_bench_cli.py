@@ -605,6 +605,12 @@ class TestCli:
         ["bench", "--experiment", "bias-variance", "--eps-list", "0.1,0.1", "--reps", "2",
          "--n-list", "20"],
         ["gain-study", "--eps-list", "0.1,0.1", "--reps", "2", "--n-list", "20"],
+        # set-up failures found inside the run: used to end in a traceback
+        ["gain-study", "--sigma2", "1e-5", "--eps-list", "0.5", "--n-list", "20", "--reps", "2"],
+        ["bench", "--experiment", "bias-variance", "--bimodal-sigma2", "1e-5", "--eps-list",
+         "0.5", "--n-list", "20", "--reps", "2"],
+        ["bench", "--experiment", "dual-enkf", "--reps", "1", "--n-list", "10", "--d-list", "2",
+         "--dt", "0.05", "--T", "1e100"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -835,6 +841,19 @@ _BASE_CONFIGS = {
 }
 
 
+# A quick run of each subcommand by flags; the walk over flag values
+# replaces one flag's value at a time.
+_BASE_ARGV = {
+    "filter": ["--n", "20", "--dt", "0.05", "--T", "0.1"],
+    "gain-study": ["--eps-list", "0.5", "--n-list", "20", "--reps", "2"],
+    "lqr-solve": ["--d", "2", "--n", "10", "--dt", "0.05", "--T", "0.2"],
+    "static-update": ["--cov-x", "[[1.0]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
+                      "--y", "[2.0]"],
+    "bench": ["--experiment", "dual-enkf", "--reps", "1", "--n-list", "10", "--d-list", "2",
+              "--dt", "0.05", "--T", "0.2"],
+}
+
+
 def _config_text(config: dict) -> str:
     return "[run]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in config.items())
 
@@ -863,6 +882,29 @@ class TestOptionTables:
             assert err.startswith("error:") and re.search(rf"\b{opt.key}\b", err), (bad, err)
             assert "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("sub, opt", [(sub, opt) for sub, options in cli.OPTIONS.items()
+                                          for opt in options if opt.flag and opt.kind is not cli.BOOL
+                                          and "choices" not in opt.kind[1]],
+                             ids=lambda v: getattr(v, "key", v))
+    def test_every_flag_value_exits_cleanly(self, tmp_path, capsys, sub, opt):
+        # no value parses as an integer above 1, so --jobs never starts a pool
+        base = _BASE_ARGV[sub]
+        i = base.index(opt.flag) if opt.flag in base else len(base)
+        out = tmp_path / "o.csv"
+        for value in ["nan", "inf", "-inf", "0", "-1", "1e100", "1e-300"]:
+            if opt.kind is cli.MATRIX:
+                value = f"[[{value}]]" if opt.key.startswith("cov_") else f"[{value}]"
+            argv = [sub, *base[:i], *base[i + 2:], f"{opt.flag}={value}", "--out", str(out)]
+            out.unlink(missing_ok=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the value
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (value, err)
+            assert "Traceback" not in err
+            assert code == 0 or not out.exists(), (value, err)
 
     @pytest.mark.parametrize("sub", list(_BASE_CONFIGS))
     def test_base_configs_run(self, tmp_path, sub):

@@ -197,7 +197,7 @@ class TestARE:
 
     def test_uncontrollable_stable_mode(self):
         # decoupled modes: -1 (no input, Lyapunov p = 1/2) and +1 (scalar
-        # LQR p = 1 + sqrt 2); the uncontrollable mode makes W12 singular
+        # LQR p = 1 + sqrt 2)
         lq = lq_from_matrices(np.diag([-1.0, 1.0]), np.array([[0.0], [1.0]]), np.eye(2))
         P = solve_are(lq)
         assert np.abs(P - np.diag([0.5, 1.0 + np.sqrt(2.0)])).max() <= 1e-12
@@ -247,6 +247,42 @@ def test_solve_are_matches_scipy_care(problem):
     assert np.linalg.norm(P - care) <= 1e-10 * np.linalg.norm(care)
     closed = A - B @ np.linalg.solve(R, B.T) @ P
     assert np.max(np.linalg.eigvals(closed).real) < 0
+
+
+def _e(d, i):
+    """The i-th unit column of length d, as a (d, 1) input matrix."""
+    return np.eye(d)[:, [i]]
+
+
+# Stabilizable, detectable problems whose Hamiltonian is defective or has
+# repeated eigenvalues, which uniform random matrices never give.
+_STRUCTURED_ARE = {
+    # an uncontrollable stable 3x3 Jordan block coupled into an unstable input
+    "jordan3-coupled": (np.array([[-1.0, 1.0, 0.0, 0.25], [0.0, -1.0, 1.0, -0.5],
+                                  [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.5]]),
+                        _e(4, 3), np.eye(4)),
+    "jordan2-no-input": (np.array([[-1.0, 1.0], [0.0, -1.0]]), np.zeros((2, 1)), np.eye(2)),
+    "jordan2-e2": (np.array([[-1.0, 1.0], [0.0, -1.0]]), _e(2, 1), np.eye(2)),
+    "double-integrator": (np.eye(2, k=1), _e(2, 1), np.array([[1.0, 0.0]])),
+    "unstable-jordan3": (np.eye(3) + np.eye(3, k=1), _e(3, 2), np.eye(3)),
+    "integrator-chain6": (np.eye(6, k=1), _e(6, 5), np.eye(1, 6)),
+    "rotation": (np.array([[0.0, 1.0], [-1.0, 0.0]]), _e(2, 1), np.eye(2)),
+    "saddle": (np.diag([-1.0, 1.0]), np.ones((2, 1)), np.array([[0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", list(_STRUCTURED_ARE))
+def test_solve_are_structured_cases_match_scipy_care(case):
+    from scipy.linalg import solve_continuous_are
+
+    A, B, C = _STRUCTURED_ARE[case]
+    lq = lq_from_matrices(A, B, C)
+    care = solve_continuous_are(A, B, C.T @ C, lq.R)
+    P = solve_are(lq)
+    A, G, Q = riccati_weights(lq)
+    assert np.linalg.norm(P - care) <= 1e-12 * np.linalg.norm(care)
+    assert np.linalg.norm(control_riccati_rhs(P, A, G, Q)) <= 1e-12 * np.linalg.norm(P)
+    assert np.max(np.linalg.eigvals(A - G @ P).real) < 0
 
 
 class TestDualRiccati:
