@@ -27,11 +27,11 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import RngStream, empirical_moments
+from .core import _BLOCK_ELEMS, RngStream, empirical_moments
 from .exceptions import ConfigError
 from .gain import diffusion_map_gain, exact_gain_1d
 from .kalman import solve_dre_backward
-from .models import Density1D, grid_steps, make_bimodal, make_lq_canonical
+from .models import Density1D, check_noise_scale, grid_steps, make_bimodal, make_lq_canonical
 from .dual_enkf import relative_value_mse, run_dual_enkf
 from .sir import modified_weights, self_normalized_estimate
 
@@ -111,21 +111,21 @@ class RunConfig:
             raise ConfigError("need finite dt > 0 and horizon >= dt")
         # the FPF cells of mse-levelsets step to the posterior at t = 1
         span = {"mse-levelsets": 1.0, "dual-enkf": self.horizon}.get(self.experiment)
-        if span is not None:
-            try:
+        try:
+            if span is not None:
                 grid_steps(span, self.dt)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            check_noise_scale("sigma0", self.sigma0)
+            check_noise_scale("sigma_w", self.sigma_w)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # every (N, d) cell of dual-enkf must pass dual_enkf_init's check
         n_min, d_max = min(map(int, self.n_list)), max(map(int, self.d_list))
         if self.experiment == "dual-enkf" and n_min <= d_max:
             raise ConfigError(
                 f"N={n_min}: need more than d={d_max} particles for a nonsingular empirical covariance"
             )
-        for name in ("sigma0", "sigma_w", "bimodal_sigma2"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.bimodal_sigma2) and self.bimodal_sigma2 > 0):
+            raise ConfigError(f"bimodal_sigma2 must be positive and finite, got {self.bimodal_sigma2}")
         if not self.methods:
             raise ConfigError("methods must name at least one method")
         for m in self.methods:
@@ -183,13 +183,30 @@ def _replicate_mse(sq_errors, reps: int, rng: RngStream, chunk: int) -> tuple[fl
 
     ``sq_errors(sub, take)`` draws ``take`` replicates from the stream
     ``sub`` and returns their squared errors; the chunk of replicates from
-    ``done`` on draws from ``rng.substream(done)``.
+    ``done`` on draws from ``rng.substream(done)``.  The chunk fixes only
+    these substreams, so it fixes the numbers; ``_prior_blocks`` bounds the
+    memory.
     """
     errors = np.empty(reps)
     for done in range(0, reps, chunk):
         take = min(chunk, reps - done)
         errors[done : done + take] = sq_errors(rng.substream(done), take)
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(reps))
+
+
+def _prior_blocks(sub: RngStream, take: int, num_particles: int, d: int, sigma0: float):
+    """The chunk's (take, N, d) prior draw, N(0, sigma0^2), as ``(rows, x)``
+    blocks of whole replicates, about ``_BLOCK_ELEMS`` entries each.
+
+    numpy fills a draw in C order, so the blocks hold the numbers of one
+    whole draw, and the batched kernels give each replicate the same bits.
+    """
+    step = max(1, _BLOCK_ELEMS // (num_particles * d))
+    for lo in range(0, take, step):
+        rows = slice(lo, min(lo + step, take))
+        x = sub.standard_normal((rows.stop - lo, num_particles, d))
+        x *= sigma0
+        yield rows, x
 
 
 def static_pf_mse(
@@ -213,19 +230,18 @@ def static_pf_mse(
     def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
         z1 = truth + sigma_w * sub.standard_normal((take, d))
-        samples = sub.standard_normal((take, num_particles, d))
-        samples *= sigma0
         target = (z1 @ a) * sigma0**2 / (sigma0**2 + sigma_w**2)
-
-        fvals = samples @ a
-        if modified:
-            w = modified_weights(samples, z1, sigma0, sigma_w)
-            est = np.sum(w * fvals, axis=1)
-        else:
-            est = self_normalized_estimate(samples, z1, sigma_w, fvals)
+        est = np.empty(take)
+        for rows, samples in _prior_blocks(sub, take, num_particles, d, sigma0):
+            fvals = samples @ a
+            if modified:
+                w = modified_weights(samples, z1[rows], sigma0, sigma_w)
+                est[rows] = np.sum(w * fvals, axis=1)
+            else:
+                est[rows] = self_normalized_estimate(samples, z1[rows], sigma_w, fvals)
         return (est - target) ** 2
 
-    # Keep the working set bounded: the chunk x N x d draw and three chunk x N arrays.
+    # the chunk keys the substreams, so this rule fixes the draws; the blocks bound the memory
     chunk = max(1, min(chunk, int(2e7 // max(num_particles * d, 1)) or 1))
     return _replicate_mse(sq_errors, reps, rng, chunk)
 
@@ -253,8 +269,9 @@ def static_fpf_mse(
         m <- m + (dZ - m dt) Sigma / sigma_w^2,      Sigma <- F^T Sigma F.
 
     The prior draw is still made (it fixes the RNG stream and, through
-    ``empirical_moments``, the initial moments); after it each step costs
-    O(d^3) per replicate instead of O(N d^2), and the estimate is m . a.
+    ``empirical_moments`` of its blocks, the initial moments); after it each
+    step costs O(d^3) per replicate instead of O(N d^2), and the estimate is
+    m . a.
     """
     a = np.ones(d) / np.sqrt(d)
     num_steps = grid_steps(1.0, dt)
@@ -262,9 +279,9 @@ def static_fpf_mse(
 
     def sq_errors(sub, take):
         truth = sigma0 * sub.standard_normal((take, d))
-        x = sub.standard_normal((take, num_particles, d))
-        x *= sigma0
-        mean, cov = empirical_moments(x)
+        mean, cov = np.empty((take, d)), np.empty((take, d, d))
+        for rows, x in _prior_blocks(sub, take, num_particles, d, sigma0):
+            mean[rows], cov[rows] = empirical_moments(x)
         z1 = np.zeros((take, d))
         for k in range(num_steps):
             dw = sigma_w * np.sqrt(dt) * sub.standard_normal((take, d))

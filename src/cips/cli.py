@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bench import EXPERIMENTS, ResultTable, RunConfig, fingerprint, gain_study_table, table_metadata
 from .core import RngStream
-from .exceptions import ConfigError, NumericError
+from .exceptions import ConfigError, NotPositiveDefiniteError, NumericError
 from .fpf import Ensemble, fpf_step, run_filter
 from .gain import constant_gain, coordinate_basis, diffusion_map_gain, galerkin_gain
 from .kalman import kalman_bucy_run
@@ -416,8 +416,11 @@ def cmd_static_update(args: argparse.Namespace) -> int:
     with _setup_errors():
         # JointGaussian and the maps shape the arrays and check y's length
         d, m = (len(np.atleast_2d(opts[k])) for k in ("cov_x", "cov_y"))
-        jg = JointGaussian(opts.get("mean_x", np.zeros(d)), opts.get("mean_y", np.zeros(m)),
-                           opts["cov_x"], opts["cov_xy"], opts["cov_y"])
+        try:
+            jg = JointGaussian(opts.get("mean_x", np.zeros(d)), opts.get("mean_y", np.zeros(m)),
+                               opts["cov_x"], opts["cov_xy"], opts["cov_y"])
+        except NotPositiveDefiniteError as exc:  # an input, not a step, is refused
+            raise ConfigError(f"cov_x, cov_xy and cov_y: {exc}") from exc
         rng = RngStream(seed)
         if samples < 0:
             raise ConfigError(f"samples must be >= 0, got {samples}")

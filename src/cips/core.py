@@ -10,7 +10,8 @@ Conventions enforced here and relied on everywhere else:
 * near-PSD matrices with round-off eigenvalues in ``[-1e-10 * trace, 0)``
   are repaired by clipping, anything more negative is an error;
 * a singular empirical covariance gets one diagonal-jitter retry before it
-  is declared singular.
+  is declared singular;
+* passes over large arrays run in blocks of ``_BLOCK_ELEMS`` entries.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ SYMMETRY_RTOL = 1e-12
 # One-shot diagonal jitter, relative to the mean eigenvalue, applied before
 # declaring an empirical covariance singular.
 _JITTER_REL = 1e-9
+
+# Passes over arrays that grow with N (the diffusion map's N x N rows, the
+# static benchmark's replicate draws) run in blocks of about 128 KB (2**14
+# float64).  A block stays in cache between the operations of a pass and far
+# below the whole array, so glibc reuses the freed heap on the next call
+# instead of trimming it (1 MB blocks: ~125 page faults a gain call at N=200).
+_BLOCK_ELEMS = 2**14
 
 
 class RngStream:

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .core import _BLOCK_ELEMS
 from .exceptions import GainSolveError
 from .models import Density1D
 
@@ -114,11 +115,6 @@ def galerkin_gain(particles: np.ndarray, h_values: np.ndarray, basis: Basis) -> 
 
 CG_RTOL = 1e-14
 CG_MAXITER = 1000
-# Elementwise passes over an N x N buffer run in blocks of rows of about
-# 128 KB (2**14 float64), which stay in cache between the operations of a
-# pass and well below the N x N buffer, so glibc reuses the freed heap on the
-# next call instead of trimming it (1 MB blocks: ~125 page faults a call at N=200).
-_BLOCK_ELEMS = 2**14
 
 
 def auto_bandwidth(particles: np.ndarray) -> float:

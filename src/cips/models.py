@@ -15,6 +15,7 @@ model); filters consume it as a scaling of the Z-increment weighting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,16 @@ import numpy as np
 
 from .core import RngStream, is_positive_definite, symmetrize
 from .exceptions import FilterDivergenceError
+
+
+def check_noise_scale(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` > 0 and value^2 is a
+    normal float.  An infinite square, or one so small that 1/value^2
+    overflows, would pass set-up and fail in the first step."""
+    square = value * value  # value**2 raises OverflowError instead of giving inf
+    if not (value > 0 and sys.float_info.min <= square < math.inf):
+        raise ValueError(f"{name} must be positive, with a square that neither overflows "
+                         f"nor underflows, got {value!r}")
 
 
 def grid_steps(span: float, dt: float) -> int:
@@ -254,8 +265,7 @@ def make_linear_gaussian(
         raise ValueError(f"Sigma0 has shape {Sigma0.shape}, expected ({d}, {d})")
     if not is_positive_definite(Sigma0):
         raise ValueError("Sigma0 must be symmetric positive definite")
-    if not (math.isfinite(obs_noise_scale) and obs_noise_scale > 0):
-        raise ValueError(f"obs_noise_scale must be positive and finite, got {obs_noise_scale}")
+    check_noise_scale("obs_noise_scale (sigma_w)", obs_noise_scale)
 
     spec = LinearGaussianSpec(A=A, H=H, m0=m0, Sigma0=Sigma0)
     sqrt_Sigma0 = np.linalg.cholesky(Sigma0)
@@ -287,8 +297,8 @@ def make_static_param(d: int, sigma0: float, sigma_w: float) -> FilterModel:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    if not all(math.isfinite(v) and v > 0 for v in (sigma0, sigma_w)):
-        raise ValueError(f"sigma0 = {sigma0} and sigma_w = {sigma_w} must be positive and finite")
+    check_noise_scale("sigma0", sigma0)
+    check_noise_scale("sigma_w", sigma_w)
     A = np.zeros((d, d))
     H = np.eye(d)
     sigma_B = np.zeros((d, d))

@@ -19,7 +19,7 @@ from cips.bench import (
     static_method_mse,
     static_pf_mse,
 )
-from cips import cli
+from cips import bench, cli
 from cips.cli import load_config, main
 from cips.core import RngStream
 from cips.dual_enkf import run_dual_enkf
@@ -92,6 +92,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("field, value", [
         ("sigma0", float("nan")), ("sigma_w", 0.0), ("bimodal_sigma2", -1.0),
         ("eps_list", (0.1, float("inf"))), ("methods", ("pf", "zz")),
+        ("sigma0", 1e200), ("sigma_w", 1e-200),
     ])
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field}\b"):
@@ -264,16 +265,44 @@ class TestStaticBenchmarkCells:
             large, _ = static_method_mse(method, 1, 4000, 300, rng.substream(2))
             assert large < small
 
+    @pytest.mark.parametrize("method", ["pf", "pf-modified", "fpf"])
+    @pytest.mark.parametrize("reps, kwargs", [(23, dict(chunk=5)), (300, {})],
+                             ids=["chunk-5", "default-chunk"])
+    @pytest.mark.parametrize("d", [1, 3, 8, 10])
+    def test_replicate_blocks_change_no_bit(self, monkeypatch, d, reps, kwargs, method):
+        # one replicate per block (1 entry), the default blocks, of which a
+        # chunk holds several at N = 100 (and a last partial one), and one
+        # block per chunk (2**40): the same draws and the same bits
+        results = []
+        for elems in (1, bench._BLOCK_ELEMS, 2**40):
+            monkeypatch.setattr(bench, "_BLOCK_ELEMS", elems)
+            if method == "fpf":
+                results.append(static_fpf_mse(d, 100, reps, RngStream(d), **kwargs))
+            else:
+                results.append(static_pf_mse(d, 100, reps, RngStream(d),
+                                             modified=method == "pf-modified", **kwargs))
+        assert results[0] == results[1] == results[2]
+
     @pytest.mark.parametrize("modified", [False, True], ids=["pf", "pf-modified"])
-    @pytest.mark.parametrize("d, bound", [(1, 4.2), (3, 6.2)])
-    def test_traced_peak_of_one_chunk(self, d, bound, modified):
-        # one 256-replicate chunk holds its (chunk, N, d) draw and at most
-        # three (chunk, N) buffers; a (chunk, N, d) temporary would add d
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_traced_peak_of_one_chunk(self, d, modified):
+        # a 256-replicate chunk draws and weighs its particles in blocks of
+        # about 2**14 entries, so its peak no longer grows with chunk N d;
+        # the whole (chunk, N, d) draw alone would be about 2 MB at d = 1
         n, chunk = 1000, 256
         static_pf_mse(d, n, chunk, RngStream(8), modified=modified)
         with traced_peak() as peak:
             static_pf_mse(d, n, chunk, RngStream(8), modified=modified)
-        assert peak[0] <= bound * chunk * n * 8
+        assert peak[0] <= 2**20
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_traced_peak_of_fpf_cell(self, d):
+        # three chunks of at most 128 replicates; each draw is reduced to its
+        # moments block by block
+        static_fpf_mse(d, 1000, 300, RngStream(8))
+        with traced_peak() as peak:
+            static_fpf_mse(d, 1000, 300, RngStream(8))
+        assert peak[0] <= 2**20
 
     def test_pf_modified_plain_average_sanity_band(self):
         # The plain replicate average of the exact-denominator estimator's
@@ -611,6 +640,31 @@ class TestCli:
          "0.5", "--n-list", "20", "--reps", "2"],
         ["bench", "--experiment", "dual-enkf", "--reps", "1", "--n-list", "10", "--d-list", "2",
          "--dt", "0.05", "--T", "1e100"],
+        # noise scales whose squares underflow: used to fail in the first step
+        ["filter", "--n", "20", "--dt", "0.05", "--T", "0.1", "--sigma-w", "1e-300"],
+        ["filter", "--model", "static", "--d", "1", "--sigma-w", "1e-200", "--n", "20",
+         "--dt", "0.05", "--T", "0.1", "--method", "sir"],
+        ["bench", "--experiment", "mse-levelsets", "--sigma-w", "1e-300", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        ["bench", "--experiment", "mse-levelsets", "--sigma-w", "1e-200", "--reps", "2",
+         "--n-list", "10", "--d-list", "1", "--methods", "fpf"],
+        # and squares that overflow: used to end in an OverflowError traceback
+        ["filter", "--n", "20", "--dt", "0.05", "--T", "0.1", "--sigma-w", "1e200"],
+        ["filter", "--model", "static", "--d", "1", "--n", "20", "--dt", "0.05", "--T", "0.1",
+         "--sigma0", "1e160"],
+        ["bench", "--experiment", "mse-levelsets", "--sigma0", "1e200", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        ["bench", "--experiment", "mse-levelsets", "--sigma-w", "1e200", "--reps", "2",
+         "--n-list", "10", "--d-list", "1"],
+        # a joint covariance that is not positive semidefinite is an input, not a numeric failure
+        ["static-update", "--cov-x", "[[0]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
+         "--y", "[2.0]"],
+        ["static-update", "--cov-x", "[[-1]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
+         "--y", "[2.0]"],
+        ["static-update", "--cov-x", "[[1.0]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[0]]",
+         "--y", "[2.0]"],
+        ["static-update", "--cov-x", "[[1.0]]", "--cov-xy", "[[1e100]]", "--cov-y", "[[2.0]]",
+         "--y", "[2.0]"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
@@ -888,11 +942,13 @@ class TestOptionTables:
                                           and "choices" not in opt.kind[1]],
                              ids=lambda v: getattr(v, "key", v))
     def test_every_flag_value_exits_cleanly(self, tmp_path, capsys, sub, opt):
-        # no value parses as an integer above 1, so --jobs never starts a pool
+        # no value parses as an integer above 1 (int() refuses "1e200"), so
+        # --jobs never starts a pool; 1e200 and 1e-200 are scales whose
+        # squares overflow and underflow
         base = _BASE_ARGV[sub]
         i = base.index(opt.flag) if opt.flag in base else len(base)
         out = tmp_path / "o.csv"
-        for value in ["nan", "inf", "-inf", "0", "-1", "1e100", "1e-300"]:
+        for value in ["nan", "inf", "-inf", "0", "-1", "1e100", "1e-300", "1e200", "1e-200"]:
             if opt.kind is cli.MATRIX:
                 value = f"[[{value}]]" if opt.key.startswith("cov_") else f"[{value}]"
             argv = [sub, *base[:i], *base[i + 2:], f"{opt.flag}={value}", "--out", str(out)]

@@ -52,6 +52,13 @@ class TestMakeLinearGaussian:
         with pytest.raises(ValueError):
             make_linear_gaussian(np.eye(2), np.eye(2), np.eye(2), np.zeros(3), np.eye(2))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, float("nan"), -1.0])
+    def test_rejects_noise_scale_whose_square_leaves_the_normal_floats(self, scale):
+        # 1e-160 squares to a subnormal, whose reciprocal overflows
+        with pytest.raises(ValueError, match=r"^obs_noise_scale \(sigma_w\)"):
+            make_linear_gaussian([[0.0]], [[1.0]], [[1.0]], [0.0], [[1.0]],
+                                 obs_noise_scale=scale)
+
 
 class TestStaticParam:
     def test_posterior_formula(self):
@@ -87,6 +94,18 @@ class TestStaticParam:
             make_static_param(1, 1.0, -1.0)
         with pytest.raises(ValueError):
             make_static_param(0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("key", ["sigma0", "sigma_w"])
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-200, 1e-300])
+    def test_rejects_scale_whose_square_overflows_or_underflows(self, key, scale):
+        # Python's 1e200**2 raises OverflowError; 1e-200**2 is 0
+        scales = {"sigma0": 1.0, "sigma_w": 1.0, key: scale}
+        with pytest.raises(ValueError, match=rf"^{key} must be positive"):
+            make_static_param(1, scales["sigma0"], scales["sigma_w"])
+
+    def test_accepts_extreme_scales_with_normal_squares(self):
+        model = make_static_param(1, 1e150, 1e-150)
+        assert model.obs_noise_scale == 1e-150
 
 
 class TestBimodal:
