@@ -45,18 +45,26 @@ from .sir import bootstrap_pf_step, uniform_weighted
 from .static_transport import JointGaussian, blue_update, ot_affine_map, perturbed_enkf_map
 from .dual_enkf import run_dual_enkf
 
-FILTER_METHODS = (
-    "kalman",
-    "fpf-const",
-    "fpf-galerkin",
-    "fpf-dm",
-    "sir",
-    "enkf-sqrt",
-    "enkf-perturbed",
-    "enkf-det",
-)
 
-ENKF_VARIANTS = {"enkf-sqrt": "sqrt", "enkf-perturbed": "perturbed", "enkf-det": "deterministic"}
+def _fpf(gain):
+    """An FPF's start and step; ``gain(model, eps)`` makes its gain method."""
+    return Ensemble, lambda model, eps: partial(fpf_step, gain_method=gain(model, eps))
+
+
+# The filter methods: each particle method's start state, made from the
+# prior draw, and its step, made from the model and the bandwidth.  The
+# Kalman-Bucy filter steps no particles.
+FILTER_METHODS = {
+    "kalman": None,
+    "fpf-const": _fpf(lambda model, eps: constant_gain),
+    "fpf-galerkin": _fpf(lambda model, eps: partial(galerkin_gain,
+                                                    basis=coordinate_basis(model.dim_state))),
+    "fpf-dm": _fpf(lambda model, eps: partial(diffusion_map_gain, eps=eps)),
+    "sir": (uniform_weighted, lambda model, eps: bootstrap_pf_step),
+    "enkf-sqrt": (Ensemble, lambda model, eps: partial(linear_enkf_step, variant="sqrt")),
+    "enkf-perturbed": (Ensemble, lambda model, eps: partial(linear_enkf_step, variant="perturbed")),
+    "enkf-det": (Ensemble, lambda model, eps: partial(linear_enkf_step, variant="deterministic")),
+}
 
 
 def load_config(path: str) -> dict:
@@ -290,10 +298,14 @@ def _setup_errors():
 
 
 def _write_or_print(table: ResultTable, out: str | None) -> None:
-    if out:
-        table.write(out)
-    else:
+    """Write the table to ``out``, or to stdout; an unwritable path is a usage error."""
+    if not out:
         sys.stdout.write(table.to_csv())
+        return
+    try:
+        table.write(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +332,6 @@ def _time_rows(times, *paths) -> list[tuple]:
     return [(t,) + tuple(v for f in flat for v in f[k]) for k, t in enumerate(times.tolist())]
 
 
-def _filter_start(method: str, model, n: int, eps, rng: RngStream):
-    """Start state and step function of a particle method; draws the prior."""
-    prior = model.sample_prior(rng, n)
-    if method == "sir":
-        return uniform_weighted(prior), bootstrap_pf_step
-    start = Ensemble(prior)
-    if method in ENKF_VARIANTS:
-        return start, partial(linear_enkf_step, variant=ENKF_VARIANTS[method])
-    if method == "fpf-const":
-        gain_method = constant_gain
-    elif method == "fpf-galerkin":
-        gain_method = partial(galerkin_gain, basis=coordinate_basis(model.dim_state))
-    else:
-        gain_method = partial(diffusion_map_gain, eps=eps)
-    return start, partial(fpf_step, gain_method=gain_method)
-
-
 def cmd_filter(args: argparse.Namespace) -> int:
     config_hash, opts = _read_options(args)
     method, seed = opts["method"], opts["seed"]
@@ -346,12 +341,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
         _, obs = simulate_truth_and_observations(model, opts["dt"], opts["horizon"],
                                                  rng.substream(0))
         frng = rng.substream(1)
-        if method != "kalman":
-            start, step = _filter_start(method, model, opts["n"], opts["eps"], frng)
-    if method == "kalman":
-        run = kalman_bucy_run(model, obs)
-    else:
-        run = run_filter(model, obs, start, step, frng)
+        particles = FILTER_METHODS[method]
+        if particles:
+            make_start, make_step = particles
+            start = make_start(model.sample_prior(frng, opts["n"]))
+            step = make_step(model, opts["eps"])
+    run = run_filter(model, obs, start, step, frng) if particles else kalman_bucy_run(model, obs)
     d = model.dim_state
     table = ResultTable(
         columns=("t",) + _entry_names("m", d) + _entry_names("s", d, d),
@@ -400,9 +395,10 @@ def cmd_lqr_solve(args: argparse.Namespace) -> int:
 
     s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
     if s_out:
-        ResultTable(columns=("t",) + _entry_names("s", d, d),
-                    rows=_time_rows(run.times, run.cov_path),
-                    metadata=table_metadata(seed, "lqr-cov", meta["config"])).write(s_out)
+        _write_or_print(ResultTable(columns=("t",) + _entry_names("s", d, d),
+                                    rows=_time_rows(run.times, run.cov_path),
+                                    metadata=table_metadata(seed, "lqr-cov", meta["config"])),
+                        s_out)
     return 0
 
 
@@ -439,10 +435,11 @@ def cmd_static_update(args: argparse.Namespace) -> int:
             transformed = ot_affine_map(jg)(x0, opts["y"])
         else:
             transformed = perturbed_enkf_map(jg, opts["y"], rng, samples)
-        ResultTable(columns=_entry_names("x", d),
-                    rows=[tuple(float(v) for v in row) for row in transformed],
-                    metadata=table_metadata(seed, f"static-samples-{method}", meta["config"]),
-                    ).write(args.sample_out)
+        _write_or_print(ResultTable(columns=_entry_names("x", d),
+                                    rows=[tuple(float(v) for v in row) for row in transformed],
+                                    metadata=table_metadata(seed, f"static-samples-{method}",
+                                                            meta["config"])),
+                        args.sample_out)
     return 0
 
 

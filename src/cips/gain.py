@@ -11,12 +11,16 @@ exact 1-D gain for h(x) = x on a Gaussian mixture, in closed form.  Each
 approximation takes the particles (N, d) and h at them (N, m) and returns
 the gains as one float array of shape (N, d, m).  A Galerkin basis is one
 function x (N, d) -> (psi (N, M), grad psi (N, M, d)).
+
+The diffusion map's fixed point Phi = T Phi + eps (h - hbar) is solved as
+Phi = eps Psi with Psi = T Psi + (h - hbar), and the gain is read off Psi
+with eps cancelled: the bandwidth eps enters only the kernel T.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -150,29 +154,24 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def _sq_dist_blocks(x: np.ndarray, out: np.ndarray) -> Iterator[slice]:
-    """Fills out (N x N) with |x_i - x_j|^2 = sum_k (x_ik - x_jk)^2, yielding each row block.
+def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 = sum_k (x_ik - x_jk)^2 as one N x N array, filled by row blocks.
 
-    x_ik - x_jk only changes sign under i <-> j, so out is exactly symmetric with a zero
-    diagonal, and a shift of the particles cancels in each difference.  One scratch block.
+    x_ik - x_jk only changes sign under i <-> j, so the array is exactly symmetric with a
+    zero diagonal, and a shift of the particles cancels in each difference.  One scratch block.
     """
+    n = x.shape[0]
+    d2 = np.empty((n, n))
     xt = np.ascontiguousarray(x.T)
-    blocks = _row_blocks(x.shape[0])
-    tmp = np.empty((blocks[0].stop, x.shape[0]))
+    blocks = _row_blocks(n)
+    tmp = np.empty((blocks[0].stop, n))
     for blk in blocks:
-        rows, part = out[blk], tmp[:blk.stop - blk.start]
+        rows, part = d2[blk], tmp[:blk.stop - blk.start]
         for k, col in enumerate(xt):
             dst = part if k else rows
             np.square(np.subtract(col[blk, None], col, out=dst), out=dst)
             if k:
                 rows += part
-        yield blk
-
-
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 (``_sq_dist_blocks``), the only N x N array the function allocates."""
-    d2 = np.empty((x.shape[0],) * 2)
-    list(_sq_dist_blocks(x, d2))  # fills every block
     return d2
 
 
@@ -205,7 +204,7 @@ def _component_sizes(T: np.ndarray) -> list[int]:
 
 def _solve_fixed_point(T: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
                        eps: float) -> np.ndarray:
-    """Phi with Phi = T Phi + rhs and pi^T Phi = 0, for pi^T rhs = 0.
+    """Phi with Phi = T Phi + rhs and pi^T Phi = 0, for pi^T rhs = 0; eps only labels errors.
 
     Preconditioned conjugate gradients on I - T written as the graph
     Laplacian diag(off) - T_off, off_i = sum_{j != i} T_ij, in the
@@ -275,10 +274,11 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     coordinate by coordinate (eps "auto" being the median rule on them) is
     normalized by one vector s = row^(-1/2): T_ij = g_ij s_j / c_i, c = row sums
     of g s, pi = deg / sum(deg), deg = s c; that is, k_ij = g_ij / sqrt(row_i row_j)
-    and T = k / deg_i.  T is built in one N x N buffer, in two passes over row
-    blocks of about 128 KB.  A row whose off-diagonal mass is lost to rounding,
-    or a kernel graph T_ij > 0 in several connected parts, leaves the fixed
-    point without a unique solution and raises ``GainSolveError``.
+    and T = k / deg_i.  T is built in the one N x N buffer of the distances, for
+    either kind of eps, in two passes over row blocks of about 128 KB.  A row
+    whose off-diagonal mass is lost to rounding, or a kernel graph T_ij > 0 in
+    several connected parts, leaves the fixed point without a unique solution
+    and raises ``GainSolveError``.
     """
     n = x.shape[0]
     if n < 2:
@@ -289,13 +289,11 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
-    T = _pairwise_sq_dists(x) if auto else np.empty((n, n))
+    T = _pairwise_sq_dists(x)
     eps = _median_bandwidth(T) if auto else float(eps)
-    # g = exp(-d2 / (4 eps)) and its row sums: a numeric eps as each block's
-    # distances are made, "auto" after its median has read them all.
-    # d2 / -(4 eps) has the bits of -d2 / (4 eps)
+    # g = exp(-d2 / (4 eps)) and its row sums; d2 / -(4 eps) has the bits of -d2 / (4 eps)
     row = np.empty(n)
-    for blk in _row_blocks(n) if auto else _sq_dist_blocks(x, T):
+    for blk in _row_blocks(n):
         np.divide(T[blk], -(4.0 * eps), out=T[blk])
         np.exp(T[blk], out=T[blk])
         T[blk].sum(axis=1, out=row[blk])
@@ -335,23 +333,27 @@ def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float |
 
     Builds the row-stochastic Markov matrix T of the Gaussian kernel, on
     distances summed coordinate by coordinate and normalized by one scaling
-    vector, and its stationary weights pi (``_markov_matrix``), then solves
-    the fixed-point equation
+    vector, and its stationary weights pi (``_markov_matrix``).  The paper's
+    fixed point Phi = T Phi + eps (h - hbar), hbar = sum_i pi_i h(X^i), is
+    linear in its right-hand side, so Phi = eps Psi with
 
-        Phi = T Phi + eps (h - hbar),      hbar = sum_i pi_i h(X^i),
+        Psi = T Psi + (h - hbar),
 
-    pinned by pi^T Phi = 0, as along the sweeps Phi <- T Phi + eps (h - hbar)
-    from Phi = 0, whose limit it is.  T is reversible with respect to pi, so
-    the solve is Jacobi-preconditioned conjugate gradients on T itself
+    pinned by pi^T Psi = 0, the limit of the sweeps Psi <- T Psi + (h - hbar)
+    from Psi = 0.  T is reversible with respect to pi, so the solve is
+    Jacobi-preconditioned conjugate gradients on T itself
     (``_solve_fixed_point``): one product with T per iteration and no
-    factorisation.  Gains are read off as
+    factorisation.  The paper's readout K^i = sum_j s_ij X^j,
+    s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps) with r = Phi + eps h, has
+    r = eps (Psi + h), so eps cancels and the gains are
 
-        K^i = sum_j s_ij X^j,  s_ij = T_ij (r_j - sum_k T_ik r_k) / (2 eps),
+        K^i = (1/2) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ],  r = Psi + h,
 
-    with r = Phi + eps h, from the one matrix product T [r | r (x) X | X]
-    (N x (m + dm + d)).  Vector observations share the kernel and solve one
-    fixed-point problem per component.  A nonfinite gain raises
-    ``GainSolveError``, as do the kernel's own refusals.
+    from the one matrix product T [r | r (x) X | X] (N x (m + dm + d)).  eps
+    enters only the kernel: as eps -> inf, T -> 1 pi^T and K tends to the
+    constant gain, with no overflow at any finite eps.  Vector observations
+    share the kernel and solve one fixed-point problem per component.  A
+    nonfinite gain raises ``GainSolveError``, as do the kernel's own refusals.
 
     Memory: a call peaks at T and the upper triangle whose median sets eps
     ``"auto"`` (1.5 N x N float64 arrays), or at T and one row block with a
@@ -363,15 +365,11 @@ def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float |
     m = h.shape[1]
     T, pi, eps = _markov_matrix(x, eps)
 
-    hbar = pi @ h                                  # (m,)
-    phi = _solve_fixed_point(T, pi, eps * (h - hbar), eps)
-
-    r = phi + eps * h                              # (N, m)
-    # K^i = (1/2eps) [ sum_j T_ij r_j X^j - (T r)_i sum_j T_ij X^j ]: the three
-    # sums are the column blocks of one product T [r | r (x) x | x].
+    r = _solve_fixed_point(T, pi, h - pi @ h, eps) + h       # Psi + h, (N, m)
+    # the three sums are the column blocks of one product T [r | r (x) x | x]
     rx = (x[:, :, None] * r[:, None, :]).reshape(n, d * m)
     Tr, TrX, TX = np.split(T @ np.concatenate([r, rx, x], axis=1), [m, m + d * m], axis=1)
-    gains = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / (2.0 * eps)
+    gains = (TrX.reshape(n, d, m) - TX[:, :, None] * Tr[:, None, :]) / 2.0
     if not np.all(np.isfinite(gains)):
         raise GainSolveError(f"diffusion-map gain is nonfinite at eps={eps:.3e}, N={n}")
     return gains

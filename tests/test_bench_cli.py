@@ -453,6 +453,22 @@ class TestCli:
         assert data[0] == "eps,N,rep,mse"
         assert len(data) == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_gain_study_huge_bandwidths_give_the_limit(self, tmp_path):
+        # the kernel is exactly uniform from about eps = 1e17 here, and eps
+        # enters nothing else: 1e200 and 1e300 overflow nothing and give the
+        # rows of 1e50, the constant-gain limit
+        mse = {}
+        for eps in ("1e50", "1e200", "1e300"):
+            out = tmp_path / f"{eps}.csv"
+            assert main(["gain-study", "--eps-list", eps, "--n-list", "20", "--reps", "2",
+                         "--out", str(out)]) == 0
+            data = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+            assert data[0] == ["eps", "N", "rep", "mse"]
+            mse[eps] = [row[3] for row in data[1:]]
+        assert len(mse["1e50"]) == 2
+        assert mse["1e200"] == mse["1e50"] and mse["1e300"] == mse["1e50"]
+
     def test_gain_study_rejects_unsupported_specs(self, capsys):
         for flag, value in (("--density", "gauss"), ("--h", "x^2")):
             with pytest.raises(SystemExit) as exc:
@@ -941,6 +957,8 @@ class TestOptionTables:
                                           for opt in options if opt.flag and opt.kind is not cli.BOOL
                                           and "choices" not in opt.kind[1]],
                              ids=lambda v: getattr(v, "key", v))
+    # the values overflow on purpose; only the exit code is asked for
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_every_flag_value_exits_cleanly(self, tmp_path, capsys, sub, opt):
         # no value parses as an integer above 1 (int() refuses "1e200"), so
         # --jobs never starts a pool; 1e200 and 1e-200 are scales whose
@@ -992,6 +1010,26 @@ class TestOptionTables:
 
 
 _SU_FLAGS = ["--cov-x", "[[1.0]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[2.0]]", "--y", "[1.0]"]
+
+
+# An output path that cannot be written ({dir} is a directory, {missing} is
+# not there) names the path and exits 2 after the run, with no traceback.
+@pytest.mark.parametrize("argv, path", [
+    (["filter", "--n", "20", "--T", "0.1", "--out", "{missing}/x.csv"], "{missing}/x.csv"),
+    (["bench", "--experiment", "dual-enkf", "--reps", "1", "--n-list", "5", "--d-list", "1",
+      "--T", "0.1", "--out", "{dir}"], "{dir}"),
+    (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--out", "{dir}/g.csv",
+      "--out-s", "{missing}/s.csv"], "{missing}/s.csv"),
+    (["static-update", *_SU_FLAGS, "--samples", "3", "--sample-out", "{missing}/s.csv"],
+     "{missing}/s.csv"),
+], ids=["filter", "bench", "lqr-solve-out-s", "static-update-sample-out"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, path):
+    names = {"dir": tmp_path, "missing": tmp_path / "missing"}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path.format(**names)}: "), err
+    assert "Traceback" not in err
 
 
 # The "#" header of one run of each subcommand, by flag and by config, as the

@@ -371,12 +371,19 @@ class TestDiffusionMapGain:
         swept = dense_readout(T, phi, 0.1, h, x)
         assert np.abs(direct - swept).max() <= 1e-8
 
-    def test_large_bandwidth_limit_is_constant_gain(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps, atol, rtol", [
+        (1e6, 1e-3, 0.0), (1e100, 0.0, 1e-12), (1e200, 0.0, 1e-12), (1e300, 0.0, 1e-12),
+    ])
+    def test_large_bandwidth_limit_is_constant_gain(self, eps, atol, rtol):
+        # eps enters only the kernel, which is exactly uniform once d2 / (4 eps)
+        # is below the rounding of 1: the solve and the readout then give the
+        # constant gain to rounding, and no bandwidth overflows them
         dens = make_bimodal(0.2)
         x = dens.sample(RngStream(11), 200)
-        gains = diffusion_map_gain(x, x, 1e6)
+        gains = diffusion_map_gain(x, x, eps)
         constant = constant_gain(x, x)[0, 0, 0]
-        assert np.abs(gains[:, 0, 0] - constant).max() <= 1e-3
+        assert np.abs(gains[:, 0, 0] - constant).max() <= atol + rtol * abs(constant)
 
     def test_vector_observation_linearity(self):
         dens = make_bimodal(0.2)
@@ -511,6 +518,18 @@ class TestDiffusionMapGain:
             assert eps_b == eps_used
             np.testing.assert_array_equal(T_b, T)
             np.testing.assert_array_equal(pi_b, pi)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (131, 3), (300, 2), (1000, 2)])
+    def test_numeric_eps_builds_the_auto_kernel(self, n, d):
+        # one distance pass serves both kinds of bandwidth: given the bandwidth
+        # the median rule chose, a numeric eps gives T and pi bit for bit (the
+        # last row block is partial at N = 131, 300 and 1000)
+        x = RngStream(n * d).standard_normal((n, d))
+        T_auto, pi_auto, eps = gain._markov_matrix(x, "auto")
+        T, pi, eps_used = gain._markov_matrix(x, eps)
+        assert eps_used == eps
+        np.testing.assert_array_equal(T, T_auto)
+        np.testing.assert_array_equal(pi, pi_auto)
 
     def test_two_particle_solve_ignores_the_pinned_mean(self):
         # rounding in hbar leaves pi^T rhs != 0, a residual along the constant
