@@ -55,10 +55,6 @@ class ResultTable:
             lines.append(",".join(_format_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):

@@ -12,7 +12,12 @@ default come from them.
 Config files are flat INI (``key = value`` under any section); values are
 parsed as JSON where possible.  Flags win over config values.
 
-Exit codes: 0 success, 2 configuration/usage error, 1 numeric failure.
+Each handler ``cmd_*`` is a pure function of its options: it returns its
+tables as ``(path or None, ResultTable)`` pairs and opens no file.  ``main``
+checks every output path before the run and after it, then writes all the
+tables (``None`` is stdout) or none.  It alone maps exceptions to exit codes:
+0 success; 2 a usage error, which is an unwritable path, any ``ValueError``
+(``ConfigError``, ``LinAlgError``) or a ``MemoryError``; 1 a ``NumericError``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -277,37 +282,6 @@ def _read_options(args: argparse.Namespace) -> tuple[str, dict]:
     return fingerprint({k: str(v) for k, v in given.items()}), read
 
 
-@contextmanager
-def _setup_errors():
-    """Report the library's argument checks made during set-up as usage errors.
-
-    The rules (positive dt, at least two particles, ...) are written once,
-    as ``ValueError``s where the library checks them; here they exit 2.  A
-    size too large to allocate (a whole but astronomical step count, say) is
-    a usage error too.  Failures while stepping are ``NumericError``s and
-    still exit 1.
-    """
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    except MemoryError as exc:
-        raise ConfigError(f"the configuration does not fit in memory: {exc}") from exc
-
-
-def _write_or_print(table: ResultTable, out: str | None) -> None:
-    """Write the table to ``out``, or to stdout; an unwritable path is a usage error."""
-    if not out:
-        sys.stdout.write(table.to_csv())
-        return
-    try:
-        table.write(out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # filter subcommand
 # ---------------------------------------------------------------------------
@@ -332,115 +306,100 @@ def _time_rows(times, *paths) -> list[tuple]:
     return [(t,) + tuple(v for f in flat for v in f[k]) for k, t in enumerate(times.tolist())]
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
+def cmd_filter(args: argparse.Namespace) -> list[tuple[str | None, ResultTable]]:
     config_hash, opts = _read_options(args)
     method, seed = opts["method"], opts["seed"]
-    with _setup_errors():
-        model = _build_model(opts)
-        rng = RngStream(seed)
-        _, obs = simulate_truth_and_observations(model, opts["dt"], opts["horizon"],
-                                                 rng.substream(0))
-        frng = rng.substream(1)
-        particles = FILTER_METHODS[method]
-        if particles:
-            make_start, make_step = particles
-            start = make_start(model.sample_prior(frng, opts["n"]))
-            step = make_step(model, opts["eps"])
-    run = run_filter(model, obs, start, step, frng) if particles else kalman_bucy_run(model, obs)
+    model = _build_model(opts)
+    rng = RngStream(seed)
+    _, obs = simulate_truth_and_observations(model, opts["dt"], opts["horizon"], rng.substream(0))
+    frng = rng.substream(1)
+    particles = FILTER_METHODS[method]
+    if particles:
+        make_start, make_step = particles
+        run = run_filter(model, obs, make_start(model.sample_prior(frng, opts["n"])),
+                         make_step(model, opts["eps"]), frng)
+    else:
+        run = kalman_bucy_run(model, obs)
     d = model.dim_state
-    table = ResultTable(
+    return [(args.out, ResultTable(
         columns=("t",) + _entry_names("m", d) + _entry_names("s", d, d),
         rows=_time_rows(run.times, run.means, run.covs),
         metadata=table_metadata(seed, f"filter-{method}", config_hash),
-    )
-    _write_or_print(table, args.out)
-    return 0
+    ))]
 
 
 # ---------------------------------------------------------------------------
 # gain-study subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_gain_study(args: argparse.Namespace) -> int:
+def cmd_gain_study(args: argparse.Namespace) -> list[tuple[str | None, ResultTable]]:
     _, opts = _read_options(args)
-    with _setup_errors():
-        cfg = RunConfig(experiment="bias-variance", seed=opts["seed"], reps=opts["reps"],
-                        n_list=opts["n_list"], eps_list=opts["eps_list"],
-                        bimodal_sigma2=opts["sigma2"], jobs=opts["jobs"])
-        table = gain_study_table(cfg)
-    _write_or_print(table, args.out)
-    return 0
+    cfg = RunConfig(experiment="bias-variance", seed=opts["seed"], reps=opts["reps"],
+                    n_list=opts["n_list"], eps_list=opts["eps_list"],
+                    bimodal_sigma2=opts["sigma2"], jobs=opts["jobs"])
+    return [(args.out, gain_study_table(cfg))]
 
 
 # ---------------------------------------------------------------------------
 # lqr-solve subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_lqr_solve(args: argparse.Namespace) -> int:
+def cmd_lqr_solve(args: argparse.Namespace) -> list[tuple[str | None, ResultTable]]:
     config_hash, opts = _read_options(args)
     d, seed = opts["d"], opts["seed"]
-    # run_dual_enkf checks the grid and the ensemble size before its first
-    # step; its stepping failures are NumericErrors, not ValueErrors.
-    with _setup_errors():
-        rng = RngStream(seed)
-        lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=opts["horizon"])
-        if opts["oracle_only"]:
-            lq = replace(lq, A=None, B=None, C=None)
-        run = run_dual_enkf(lq, opts["n"], opts["dt"], rng.substream(1))
+    rng = RngStream(seed)
+    lq = replace(make_lq_canonical(d, rng.substream(0)), horizon=opts["horizon"])
+    if opts["oracle_only"]:
+        lq = replace(lq, A=None, B=None, C=None)
+    run = run_dual_enkf(lq, opts["n"], opts["dt"], rng.substream(1))
 
     meta = table_metadata(seed, "lqr-gain", config_hash)
     gains = ResultTable(columns=("t",) + _entry_names("k", lq.dim_input, d),
                         rows=_time_rows(run.times, run.gains), metadata=meta)
-    _write_or_print(gains, args.out)
-
+    covs = ResultTable(columns=("t",) + _entry_names("s", d, d),
+                       rows=_time_rows(run.times, run.cov_path),
+                       metadata=table_metadata(seed, "lqr-cov", meta["config"]))
     s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
-    if s_out:
-        _write_or_print(ResultTable(columns=("t",) + _entry_names("s", d, d),
-                                    rows=_time_rows(run.times, run.cov_path),
-                                    metadata=table_metadata(seed, "lqr-cov", meta["config"])),
-                        s_out)
-    return 0
+    return [(args.out, gains)] + ([(s_out, covs)] if s_out else [])
 
 
 # ---------------------------------------------------------------------------
 # static-update subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_static_update(args: argparse.Namespace) -> int:
+def cmd_static_update(args: argparse.Namespace) -> list[tuple[str | None, ResultTable]]:
     config_hash, opts = _read_options(args)
     samples, method, seed = opts["samples"], opts["method"], opts["seed"]
-    with _setup_errors():
-        # JointGaussian and the maps shape the arrays and check y's length
-        d, m = (len(np.atleast_2d(opts[k])) for k in ("cov_x", "cov_y"))
-        try:
-            jg = JointGaussian(opts.get("mean_x", np.zeros(d)), opts.get("mean_y", np.zeros(m)),
-                               opts["cov_x"], opts["cov_xy"], opts["cov_y"])
-        except NotPositiveDefiniteError as exc:  # an input, not a step, is refused
-            raise ConfigError(f"cov_x, cov_xy and cov_y: {exc}") from exc
-        rng = RngStream(seed)
-        if samples < 0:
-            raise ConfigError(f"samples must be >= 0, got {samples}")
-        if samples > 0 and not args.sample_out:
-            raise ConfigError("--samples requires --sample-out")
-        mean, cov = blue_update(jg, opts["y"])
+    # JointGaussian and the maps shape the arrays and check y's length
+    d, m = (len(np.atleast_2d(opts[k])) for k in ("cov_x", "cov_y"))
+    try:
+        jg = JointGaussian(opts.get("mean_x", np.zeros(d)), opts.get("mean_y", np.zeros(m)),
+                           opts["cov_x"], opts["cov_xy"], opts["cov_y"])
+        transport = ot_affine_map(jg) if samples > 0 and method == "ot" else None
+    except NotPositiveDefiniteError as exc:  # an input, not a step, is refused
+        raise ConfigError(f"cov_x, cov_xy and cov_y: {exc}") from exc
+    rng = RngStream(seed)
+    if samples < 0:
+        raise ConfigError(f"samples must be >= 0, got {samples}")
+    if samples > 0 and not args.sample_out:
+        raise ConfigError("--samples requires --sample-out")
+    mean, cov = blue_update(jg, opts["y"])
 
     rows = [("mean", i, 0, float(v)) for i, v in enumerate(mean)]
     rows += [("cov", i, j, float(cov[i, j])) for i in range(d) for j in range(d)]
     meta = table_metadata(seed, "static-update", config_hash)
-    _write_or_print(ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta), args.out)
-
+    outputs = [(args.out, ResultTable(columns=("entry", "i", "j", "value"), rows=rows, metadata=meta))]
     if samples > 0:
         if method == "ot":
             x0, _ = jg.sample(rng, samples)
-            transformed = ot_affine_map(jg)(x0, opts["y"])
+            transformed = transport(x0, opts["y"])
         else:
             transformed = perturbed_enkf_map(jg, opts["y"], rng, samples)
-        _write_or_print(ResultTable(columns=_entry_names("x", d),
-                                    rows=[tuple(float(v) for v in row) for row in transformed],
-                                    metadata=table_metadata(seed, f"static-samples-{method}",
-                                                            meta["config"])),
-                        args.sample_out)
-    return 0
+        outputs.append((args.sample_out, ResultTable(
+            columns=_entry_names("x", d),
+            rows=[tuple(float(v) for v in row) for row in transformed],
+            metadata=table_metadata(seed, f"static-samples-{method}", meta["config"]))))
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +414,24 @@ _BENCH_DEFAULTS = {
 }
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> list[tuple[str | None, ResultTable]]:
     _, opts = _read_options(args)
-    with _setup_errors():
-        cfg = RunConfig(**{**_BENCH_DEFAULTS[opts["experiment"]], **opts})
-        table = EXPERIMENTS[cfg.experiment](cfg)
-    _write_or_print(table, args.out)
-    return 0
+    cfg = RunConfig(**{**_BENCH_DEFAULTS[opts["experiment"]], **opts})
+    return [(args.out, EXPERIMENTS[cfg.experiment](cfg))]
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and main
 # ---------------------------------------------------------------------------
+
+# Each output-path flag: its help and the subcommands that take it.
+OUTPUT_FLAGS = {
+    "--out": ("output CSV path (default stdout)", tuple(OPTIONS)),
+    "--out-s": ("covariance-path CSV (default: <out>.s.csv; not written when neither is given)",
+                ("lqr-solve",)),
+    "--sample-out": ("transported samples CSV (needed by --samples)", ("static-update",)),
+}
+
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
@@ -477,27 +442,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cips {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text, paths in (
-        ("filter", "run one filtering experiment", {}),
-        ("gain-study", "diffusion-map gain error study", {}),
-        ("lqr-solve", "dual ensemble LQ solve", {
-            "--out-s": "covariance-path CSV (default: <out>.s.csv; "
-                       "not written when neither is given)"}),
-        ("static-update", "Gaussian conditioning maps", {
-            "--sample-out": "transported samples CSV (needed by --samples)"}),
-        ("bench", "benchmark table reproduction", {}),
+    for name, text in (
+        ("filter", "run one filtering experiment"),
+        ("gain-study", "diffusion-map gain error study"),
+        ("lqr-solve", "dual ensemble LQ solve"),
+        ("static-update", "Gaussian conditioning maps"),
+        ("bench", "benchmark table reproduction"),
     ):
         # no prefix matching: a removed flag must not become another one
         # (gain-study's old --h would run as --help and exit 0)
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.add_argument("--out", help="output CSV path (default stdout)")
+        for flag, (path_help, commands) in OUTPUT_FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, help=path_help)
         p.add_argument("--config", help="INI config file; flags win")
-        for flag, path_help in paths.items():
-            p.add_argument(flag, help=path_help)
         for opt in OPTIONS[name]:
             if opt.flag:
                 p.add_argument(opt.flag, dest=opt.key, default=None, **opt.kind[1])
     return parser
+
+
+def _check_writable(paths) -> None:
+    """Refuse each path that cannot be written as a file; nothing is created."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.path.isdir(folder):
+            why = f"there is no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            why = "permission denied"
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {why}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -506,13 +483,28 @@ def main(argv: list[str] | None = None) -> int:
     # so that a wrapped module attribute is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
-    except ConfigError as exc:
+        _check_writable(getattr(args, flag[2:].replace("-", "_"), None) for flag in OUTPUT_FLAGS)
+        outputs = [(path, table.to_csv()) for path, table in handler(args)]
+        _check_writable(path for path, _ in outputs)
+        for path, text in outputs:
+            if not path:
+                sys.stdout.write(text)
+                continue
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except ValueError as exc:  # a ConfigError, an argument check or a LinAlgError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the configuration does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -120,13 +120,22 @@ def ot_affine_map(jg: JointGaussian) -> AffineMap:
     The matrix part is the unique symmetric PSD solution A of
     A cov_x A = cov_x - K cov_y K^T, computed by the two-square-roots
     formula A = cov_x^{-1/2} (cov_x^{1/2} M cov_x^{1/2})^{1/2} cov_x^{-1/2}.
+    Raises ``NotPositiveDefiniteError`` when cov_x is not positive definite or
+    the map has a nonfinite entry (cov_x^{1/2} M cov_x^{1/2} overflows).
     """
+    try:
+        np.linalg.cholesky(jg.cov_x)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("cov_x must be positive definite for the OT map") from exc
     K = jg.gain()
     M = symmetrize(jg.cov_x - K @ jg.cov_y @ K.T, rtol=1e-9)
     root_x = sym_sqrt(jg.cov_x)
     root_x_inv = np.linalg.inv(root_x)
-    inner = sym_sqrt(root_x @ M @ root_x)
-    A = symmetrize(root_x_inv @ inner @ root_x_inv, rtol=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        inner = root_x @ M @ root_x
+    if not np.all(np.isfinite(inner)):
+        raise NotPositiveDefiniteError("the OT map of this cov_x has nonfinite entries")
+    A = symmetrize(root_x_inv @ sym_sqrt(inner) @ root_x_inv, rtol=1e-6)
     return AffineMap(matrix=A, gain=K, mean_x=jg.mean_x, mean_y=jg.mean_y)
 
 

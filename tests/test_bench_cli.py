@@ -23,7 +23,7 @@ from cips import bench, cli
 from cips.cli import load_config, main
 from cips.core import RngStream
 from cips.dual_enkf import run_dual_enkf
-from cips.exceptions import ConfigError
+from cips.exceptions import ConfigError, FilterDivergenceError
 from cips.kalman import kalman_bucy_run
 from cips.linear_ensemble import linear_enkf_step
 from cips.fpf import Ensemble
@@ -681,15 +681,22 @@ class TestCli:
          "--y", "[2.0]"],
         ["static-update", "--cov-x", "[[1.0]]", "--cov-xy", "[[1e100]]", "--cov-y", "[[2.0]]",
          "--y", "[2.0]"],
+        # a cov_x the OT map cannot represent: used to write the moments and
+        # then end in a LinAlgError or a nonfinite-value traceback
+        ["static-update", "--cov-x", "[[0.0]]", "--cov-xy", "[[0.0]]", "--cov-y", "[[2.0]]",
+         "--y", "[1.0]", "--samples", "3", "--sample-out", "{tmp}/s.csv"],
+        ["static-update", "--cov-x", "[[1e200]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
+         "--y", "[2.0]", "--samples", "2", "--sample-out", "{tmp}/s.csv"],
     ])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
-        code = main(argv + ["--out", str(out)])
+        code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+        assert not any(tmp_path.iterdir())
 
     def test_commands_import_no_scipy(self, tmp_path):
         # scipy is a test dependency only: no subcommand may load it
@@ -881,7 +888,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         # each call, so a wrapped cmd_* (as the benchmark tracer installs) runs
         assert cli.build_parser() is cli.build_parser()
         seen = []
-        monkeypatch.setattr(cli, "cmd_filter", lambda args: seen.append(args.method) or 0)
+        monkeypatch.setattr(cli, "cmd_filter", lambda args: seen.append(args.method) or [])
         assert main(["filter", "--method", "kalman"]) == 0
         assert seen == ["kalman"]
 
@@ -911,14 +918,14 @@ _BASE_CONFIGS = {
 }
 
 
-# A quick run of each subcommand by flags; the walk over flag values
-# replaces one flag's value at a time.
+# A quick run of each subcommand by flags, with {tmp} for a directory; the
+# walk over flag values replaces one flag's value at a time.
 _BASE_ARGV = {
     "filter": ["--n", "20", "--dt", "0.05", "--T", "0.1"],
     "gain-study": ["--eps-list", "0.5", "--n-list", "20", "--reps", "2"],
     "lqr-solve": ["--d", "2", "--n", "10", "--dt", "0.05", "--T", "0.2"],
     "static-update": ["--cov-x", "[[1.0]]", "--cov-xy", "[[1.0]]", "--cov-y", "[[2.0]]",
-                      "--y", "[2.0]"],
+                      "--y", "[2.0]", "--samples", "2", "--sample-out", "{tmp}/s.csv"],
     "bench": ["--experiment", "dual-enkf", "--reps", "1", "--n-list", "10", "--d-list", "2",
               "--dt", "0.05", "--T", "0.2"],
 }
@@ -963,14 +970,15 @@ class TestOptionTables:
         # no value parses as an integer above 1 (int() refuses "1e200"), so
         # --jobs never starts a pool; 1e200 and 1e-200 are scales whose
         # squares overflow and underflow
-        base = _BASE_ARGV[sub]
+        base = [arg.format(tmp=tmp_path) for arg in _BASE_ARGV[sub]]
         i = base.index(opt.flag) if opt.flag in base else len(base)
-        out = tmp_path / "o.csv"
+        out, samples = tmp_path / "o.csv", tmp_path / "s.csv"
         for value in ["nan", "inf", "-inf", "0", "-1", "1e100", "1e-300", "1e200", "1e-200"]:
             if opt.kind is cli.MATRIX:
                 value = f"[[{value}]]" if opt.key.startswith("cov_") else f"[{value}]"
             argv = [sub, *base[:i], *base[i + 2:], f"{opt.flag}={value}", "--out", str(out)]
             out.unlink(missing_ok=True)
+            samples.unlink(missing_ok=True)
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses the value
@@ -978,7 +986,7 @@ class TestOptionTables:
             err = capsys.readouterr().err
             assert code in (0, 1, 2), (value, err)
             assert "Traceback" not in err
-            assert code == 0 or not out.exists(), (value, err)
+            assert code == 0 or not (out.exists() or samples.exists()), (value, err)
 
     @pytest.mark.parametrize("sub", list(_BASE_CONFIGS))
     def test_base_configs_run(self, tmp_path, sub):
@@ -1012,8 +1020,13 @@ class TestOptionTables:
 _SU_FLAGS = ["--cov-x", "[[1.0]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[2.0]]", "--y", "[1.0]"]
 
 
+def _must_not_run(args):
+    raise AssertionError("the command ran")
+
+
 # An output path that cannot be written ({dir} is a directory, {missing} is
-# not there) names the path and exits 2 after the run, with no traceback.
+# not there) names the path and exits 2 before the command runs, with no
+# traceback and no file written.
 @pytest.mark.parametrize("argv, path", [
     (["filter", "--n", "20", "--T", "0.1", "--out", "{missing}/x.csv"], "{missing}/x.csv"),
     (["bench", "--experiment", "dual-enkf", "--reps", "1", "--n-list", "5", "--d-list", "1",
@@ -1023,13 +1036,65 @@ _SU_FLAGS = ["--cov-x", "[[1.0]]", "--cov-xy", "[[0.5]]", "--cov-y", "[[2.0]]", 
     (["static-update", *_SU_FLAGS, "--samples", "3", "--sample-out", "{missing}/s.csv"],
      "{missing}/s.csv"),
 ], ids=["filter", "bench", "lqr-solve-out-s", "static-update-sample-out"])
-def test_unwritable_output_exits_2(tmp_path, capsys, argv, path):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv, path):
     names = {"dir": tmp_path, "missing": tmp_path / "missing"}
     argv = [arg.format(**names) for arg in argv]
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), _must_not_run)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path.format(**names)}: "), err
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+# One table of a pair that cannot be written leaves the other unwritten too:
+# lqr-solve's gains and covariances, static-update's moments and samples, and
+# lqr-solve's derived <out>.s.csv, which is checked after the run.
+@pytest.mark.parametrize("argv, path", [
+    (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--out", "{tmp}/g.csv",
+      "--out-s", "{tmp}/missing/s.csv"], "{tmp}/missing/s.csv"),
+    (["static-update", *_SU_FLAGS, "--out", "{tmp}/m.csv", "--samples", "3",
+      "--sample-out", "{tmp}/missing/s.csv"], "{tmp}/missing/s.csv"),
+    (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--out", "{tmp}/g.csv"],
+     "{tmp}/g.csv.s.csv"),
+], ids=["lqr-solve-out-s", "static-update-sample-out", "lqr-solve-derived"])
+def test_half_pair_writes_nothing(tmp_path, capsys, argv, path):
+    (tmp_path / "g.csv.s.csv").mkdir()  # a directory where the derived path points
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path.format(tmp=tmp_path)}: "), err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv.s.csv"]
+
+
+# A ValueError or MemoryError anywhere in a command is a usage error, also
+# while stepping; a NumericError is a numeric failure.  No table is written.
+@pytest.mark.parametrize("raised, code, message", [
+    (MemoryError("boom"), 2, "error: the configuration does not fit in memory: boom"),
+    (ValueError("boom"), 2, "error: boom"),
+    (FilterDivergenceError("boom"), 1, "numeric failure: boom"),
+], ids=["MemoryError", "ValueError", "FilterDivergenceError"])
+def test_step_errors_exit_codes(tmp_path, capsys, monkeypatch, raised, code, message):
+    def step(*args, **kwargs):
+        raise raised
+    monkeypatch.setitem(cli.FILTER_METHODS, "fpf-const", (Ensemble, lambda model, eps: step))
+    out = tmp_path / "o.csv"
+    assert main(["filter", "--n", "20", "--T", "0.1", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", list(_BASE_ARGV))
+def test_stdout_is_the_written_file(tmp_path, capsys, sub):
+    # one writer: the table printed without --out is, byte for byte, the
+    # file written with it (for lqr-solve, the gain table)
+    argv = [sub, *(arg.format(tmp=tmp_path) for arg in _BASE_ARGV[sub])]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 # The "#" header of one run of each subcommand, by flag and by config, as the

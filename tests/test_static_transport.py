@@ -104,6 +104,18 @@ class TestOtAffineMap:
         amap = ot_affine_map(jg)
         assert amap.matrix[0, 0] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("cov_x, cov_xy, match", [
+        ([[0.0]], [[0.0]], "positive definite"),                  # singular
+        ([[1.0, 0.0], [0.0, 0.0]], [[0.5], [0.0]], "positive definite"),
+        ([[1e200]], [[1.0]], "nonfinite"),                         # cov_x^2 overflows
+    ])
+    def test_unrepresentable_cov_x_raises(self, cov_x, cov_xy, match):
+        # a named refusal, and no RuntimeWarning (which this suite makes an error)
+        jg = JointGaussian(mean_x=np.zeros(len(cov_x)), mean_y=[0.0],
+                           cov_x=cov_x, cov_xy=cov_xy, cov_y=[[2.0]])
+        with pytest.raises(NotPositiveDefiniteError, match=match):
+            ot_affine_map(jg)
+
     def test_residual_and_symmetry_random_joints(self):
         rng = RngStream(5)
         for k in range(20):
