@@ -359,8 +359,13 @@ def cmd_lqr_solve(args: argparse.Namespace) -> list[tuple[str | None, ResultTabl
     covs = ResultTable(columns=("t",) + _entry_names("s", d, d),
                        rows=_time_rows(run.times, run.cov_path),
                        metadata=table_metadata(seed, "lqr-cov", meta["config"]))
-    s_out = args.out_s or (args.out + ".s.csv" if args.out else None)
+    s_out = _lqr_cov_path(args)
     return [(args.out, gains)] + ([(s_out, covs)] if s_out else [])
+
+
+def _lqr_cov_path(args: argparse.Namespace) -> str | None:
+    """Where lqr-solve writes its covariance path: --out-s, else <out>.s.csv, else nowhere."""
+    return args.out_s or (args.out + ".s.csv" if args.out else None)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     # so that a wrapped module attribute is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _check_writable(getattr(args, flag[2:].replace("-", "_"), None) for flag in OUTPUT_FLAGS)
+        _check_writable([getattr(args, flag[2:].replace("-", "_"), None) for flag in OUTPUT_FLAGS]
+                        + [_lqr_cov_path(args) if args.command == "lqr-solve" else None])
         outputs = [(path, table.to_csv()) for path, table in handler(args)]
         _check_writable(path for path, _ in outputs)
         for path, text in outputs:

@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import RngStream, empirical_moments
-from .exceptions import ConfigError, FilterDivergenceError
+from .exceptions import FilterDivergenceError, NumericError
 from .models import FilterModel, ObservationPath
 
 # A gain method maps the particles (N, d) and h at them (N, m) to the gains
@@ -66,7 +66,12 @@ def fpf_step(
     gain_method: GainMethod,
     rng: RngStream,
 ) -> Ensemble:
-    """One Euler step of the finite-N feedback particle filter."""
+    """One Euler step of the finite-N feedback particle filter.
+
+    A numeric failure of the gain (a ``NumericError`` or numpy's
+    ``LinAlgError``) is raised again as ``FilterDivergenceError`` with the
+    step's time; any other error, such as a ``MemoryError``, passes as raised.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     dz = np.atleast_1d(np.asarray(dz, dtype=float))
@@ -81,9 +86,7 @@ def fpf_step(
 
     try:
         gains = gain_method(x, h)                       # (N, d, m)
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         raise FilterDivergenceError(
             f"gain computation failed at t={ens.time:.6g}: {exc}"
         ) from exc

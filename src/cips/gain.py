@@ -123,42 +123,174 @@ CG_MAXITER = 1000
 
 def auto_bandwidth(particles: np.ndarray) -> float:
     """Rule-of-thumb kernel bandwidth: median pairwise sq. distance / (4 log N)."""
-    return _median_bandwidth(_pairwise_sq_dists(_as_matrix(particles)))
+    return _dists_and_bandwidth(_as_matrix(particles))[1]
 
 
-def _median_bandwidth(d2: np.ndarray) -> float:
-    """:func:`auto_bandwidth` from the matrix of pairwise squared distances."""
+# The median of the N(N-1)/2 pair distances is selected without copying them
+# (Floyd & Rivest 1975): a sample of about _SAMPLE_OFFSETS N pairs places two
+# pivots _BRACKET sqrt(sample size) sample ranks outside the median's rank(s),
+# one pass over the triangle counts the entries below and gathers those
+# between, and a select in the gathered ones finishes.
+_SAMPLE_OFFSETS = 16
+_BRACKET = 2.0
+
+
+def _dists_and_bandwidth(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The pairwise squared distances and the median rule on them, counted while they are built."""
+    tally = _new_tally(x, 0)
+    d2 = _pairwise_sq_dists(x, tally)
+    _tally(_diagonal_squares(d2), tally)
+    return d2, _median_bandwidth(d2, x, tally)
+
+
+def _median_bandwidth(d2: np.ndarray, x: np.ndarray, tally: dict | None = None) -> float:
+    """:func:`auto_bandwidth` from the strict upper triangle of d2, bit for bit np.median's.
+
+    The pivots come from pair distances of the particles x (``_new_tally``);
+    ``tally`` is a first count already made, as the build makes it.
+    The median is the entry of rank h for an odd pair count and the mean
+    (a + b) / 2.0 of ranks h - 1 and h for an even one, as in np.median
+    (h = half the count, ranks from 0).  An entry tied with a pivot is
+    classed with the bracket; when both pivots are one value, the bracket's
+    entries are that value and only counted.  A NaN is in none of the
+    classes below, within and above the bracket and makes the median NaN,
+    as np.median's does (without its NaN check, which imports numpy.ma
+    inside the first call of a process, where its objects can pin the heap
+    above later calls' N x N buffers).  Pivots that miss a rank are placed
+    again four times as far out in the sample and the triangle is counted
+    again; past the sample's ends they are -inf and inf, which gather every
+    entry.
+    """
     n = d2.shape[0]
-    # The strict upper triangle row by row, in np.triu_indices order but
-    # without its two N(N-1)/2 index arrays.
-    upper = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    # np.median(upper) bit for bit with one select, and without its NaN
-    # check, which imports numpy.ma inside the first call of a process, where
-    # its objects can pin the heap above later calls' N x N buffers.  The
-    # max propagates a NaN; after the select, upper[:h] holds the h smallest
-    # values, so its max is the lower middle one of an even count.
-    h = upper.size // 2
-    if np.isnan(upper.max()):
-        med = np.nan
-    else:
-        upper.partition(h)
-        med = float(upper[h] if upper.size % 2 else (upper[:h].max() + upper[h]) / 2.0)
+    ranks = _median_ranks(n)
+    widen = 0
+    while True:
+        if tally is None:
+            tally = _new_tally(x, widen)
+            for blk in _row_blocks(n):
+                _tally(d2[blk, blk.stop:], tally)
+            _tally(_diagonal_squares(d2), tally)
+        lo, hi, below = tally["lo"], tally["hi"], tally["below"]
+        mid = np.concatenate(tally["pieces"])
+        if np.isnan(mid).any():
+            med = np.nan
+            break
+        k = ranks[-1] - below                   # the upper rank among the bracket's entries
+        if below <= ranks[0] and k < (mid.size if lo < hi else tally["ties"]):
+            if lo < hi:
+                mid.partition(k)
+                b = mid[k]
+                # mid[:k] holds the k smallest: its max is the lower middle entry
+                a = mid[:k].max() if len(ranks) == 2 else b
+            else:
+                a = b = lo
+            med = float((a + b) / 2.0 if len(ranks) == 2 else b)
+            break
+        tally, widen = None, widen + 1
     if med <= 0:
         return 1.0
     return med / (4.0 * max(np.log(n), 1.0))
 
 
+def _median_ranks(n: int) -> tuple[int, ...]:
+    """The ranks (from 0) of the entries whose mean is the median of N particles' pair distances."""
+    size = n * (n - 1) // 2
+    h = size // 2
+    return (h,) if size % 2 else (h - 1, h)
+
+
+def _pair_sample(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 over the pairs (i, i + o mod N), o at up to about _SAMPLE_OFFSETS strides of 1..N/2.
+
+    Every particle is in as many pairs as every other, and the index gaps
+    are spread as those of the whole triangle; nothing is drawn at random.
+    """
+    n = x.shape[0]
+    half = n // 2
+    step = max(1, half // _SAMPLE_OFFSETS)
+    offsets = np.arange(1 + (step - 1) // 2, half + 1, step)     # the middles of the strides
+    j = np.arange(n) + offsets[:, None]          # i + o, read from x twice over
+    sample = np.zeros(j.shape)
+    for col in x.T:
+        sample += (np.concatenate([col, col])[j] - col) ** 2
+    return sample.ravel()
+
+
+def _new_tally(x: np.ndarray, widen: int) -> dict:
+    """Pivots lo <= hi around the median's ranks among x's pair distances, and no counts yet.
+
+    lo and hi are the entries of ``_pair_sample(x)`` _BRACKET 4**widen
+    sqrt(m) ranks below and above where the ranks fall among its m non-NaN
+    entries, or -inf and inf past its ends.
+    """
+    n = x.shape[0]
+    sample = _pair_sample(x)
+    ranks = _median_ranks(n)
+    size = n * (n - 1) // 2
+    m = sample.size - int(np.count_nonzero(np.isnan(sample)))
+    margin = _BRACKET * 4.0 ** widen * math.sqrt(m)
+    j_lo = math.floor(ranks[0] * m / size - margin)
+    j_hi = math.ceil((ranks[-1] + 1) * m / size + margin)
+    # two one-rank selects (numpy's select of two ranks at once took 8 times one's time)
+    if 0 <= j_hi < m:
+        sample.partition(j_hi)
+    if 0 <= j_lo < m:
+        sample[:j_hi].partition(j_lo)
+    return {"lo": sample[j_lo] if 0 <= j_lo < m else -np.inf,
+            "hi": sample[j_hi] if 0 <= j_hi < m else np.inf,
+            "below": 0, "ties": 0, "pieces": []}
+
+
+def _tally(part: np.ndarray, tally: dict) -> None:
+    """Class the entries of ``part`` against ``tally``'s pivots lo <= hi.
+
+    An entry below lo adds to ``below``; one in [lo, hi], or a NaN, is
+    gathered into ``pieces``, or when lo == hi adds to ``ties`` and only a
+    NaN is gathered.
+    """
+    lo, hi = tally["lo"], tally["hi"]
+    below = part < lo
+    mid = below == (part > hi)
+    tally["below"] += np.count_nonzero(below)
+    if lo < hi:
+        tally["pieces"].append(part[mid])
+    else:       # the bracket's entries all equal lo: count them, and gather only NaNs
+        tally["ties"] += np.count_nonzero(mid)
+        tally["pieces"].append(part[mid & (part != lo)])
+
+
+def _block_rows(n: int) -> int:
+    """Rows in a block of an N x N array: about _BLOCK_ELEMS entries, and at most N."""
+    return min(n, max(1, _BLOCK_ELEMS // n))
+
+
 def _row_blocks(n: int) -> list[slice]:
-    """Row slices of an N x N array, about _BLOCK_ELEMS entries each."""
-    rows = max(1, _BLOCK_ELEMS // n)
+    """Row slices of an N x N array, _block_rows(N) rows each but the last."""
+    rows = _block_rows(n)
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _diagonal_squares(d2: np.ndarray) -> np.ndarray:
+    """The strict upper triangles of the row blocks' diagonal squares d2[blk, blk], in one array.
+
+    With the rectangles d2[blk, blk.stop:] they make up d2's strict upper triangle.
+    """
+    n = d2.shape[0]
+    rows = _block_rows(n)
+    iu, ju = np.triu_indices(rows, 1)
+    start = np.arange(0, n, rows)[:, None]
+    i, j = (start + iu).ravel(), (start + ju).ravel()
+    keep = j < n
+    return d2[i[keep], j[keep]]
+
+
+def _pairwise_sq_dists(x: np.ndarray, tally: dict | None = None) -> np.ndarray:
     """|x_i - x_j|^2 = sum_k (x_ik - x_jk)^2 as one N x N array, filled by row blocks.
 
     x_ik - x_jk only changes sign under i <-> j, so the array is exactly symmetric with a
     zero diagonal, and a shift of the particles cancels in each difference.  One scratch block.
+    If ``tally`` is given, each finished block's part right of its diagonal square,
+    d2[blk, blk.stop:], is classed into it (``_tally``) while in cache.
     """
     n = x.shape[0]
     d2 = np.empty((n, n))
@@ -172,6 +304,8 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
             np.square(np.subtract(col[blk, None], col, out=dst), out=dst)
             if k:
                 rows += part
+        if tally is not None:
+            _tally(d2[blk, blk.stop:], tally)
     return d2
 
 
@@ -185,7 +319,7 @@ def _component_sizes(T: np.ndarray) -> list[int]:
     """
     n = T.shape[0]
     seen = np.zeros(n, dtype=bool)
-    rows = max(1, _BLOCK_ELEMS // n)
+    rows = _block_rows(n)
     sizes: list[int] = []
     while sum(sizes) < n:
         frontier = np.flatnonzero(~seen)[:1]
@@ -289,8 +423,7 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
-    T = _pairwise_sq_dists(x)
-    eps = _median_bandwidth(T) if auto else float(eps)
+    T, eps = _dists_and_bandwidth(x) if auto else (_pairwise_sq_dists(x), float(eps))
     # g = exp(-d2 / (4 eps)) and its row sums; d2 / -(4 eps) has the bits of -d2 / (4 eps)
     row = np.empty(n)
     for blk in _row_blocks(n):
@@ -306,7 +439,7 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
         del T                          # the hint's distances replace it
         first = int(isolated[0])
         nearest = float(np.min(np.delete(np.sum((x - x[first]) ** 2, axis=1), first)))
-        hint = "" if auto else f"; try eps around {_median_bandwidth(_pairwise_sq_dists(x)):.3e}"
+        hint = "" if auto else f"; try eps around {_dists_and_bandwidth(x)[1]:.3e}"
         raise GainSolveError(
             f"{isolated.size} of {n} particles isolated: their off-diagonal kernel mass is "
             f"below the rounding of 1 at eps={eps:.3e} (first: particle {first}, "
@@ -355,9 +488,11 @@ def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float |
     share the kernel and solve one fixed-point problem per component.  A
     nonfinite gain raises ``GainSolveError``, as do the kernel's own refusals.
 
-    Memory: a call peaks at T and the upper triangle whose median sets eps
-    ``"auto"`` (1.5 N x N float64 arrays), or at T and one row block with a
-    numeric eps (1.5 N x N for a refusal); the solve adds a few N x m vectors.
+    Memory: a call peaks at one N x N float64 array, T, and one row block of
+    about 128 KB.  eps ``"auto"``, and a refusal's hint after T is released,
+    add twice the distances between the median's pivots (about N^1.5 / 2),
+    gathered while T is built: 1.06 N x N at N = 1000.  The solve adds a few
+    N x m vectors.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)

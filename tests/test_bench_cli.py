@@ -1049,7 +1049,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv, path):
 
 # One table of a pair that cannot be written leaves the other unwritten too:
 # lqr-solve's gains and covariances, static-update's moments and samples, and
-# lqr-solve's derived <out>.s.csv, which is checked after the run.
+# lqr-solve's derived <out>.s.csv.  Each is refused before the run.
 @pytest.mark.parametrize("argv, path", [
     (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--out", "{tmp}/g.csv",
       "--out-s", "{tmp}/missing/s.csv"], "{tmp}/missing/s.csv"),
@@ -1058,8 +1058,9 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv, path):
     (["lqr-solve", "--d", "1", "--n", "5", "--T", "0.1", "--out", "{tmp}/g.csv"],
      "{tmp}/g.csv.s.csv"),
 ], ids=["lqr-solve-out-s", "static-update-sample-out", "lqr-solve-derived"])
-def test_half_pair_writes_nothing(tmp_path, capsys, argv, path):
+def test_half_pair_writes_nothing(tmp_path, capsys, monkeypatch, argv, path):
     (tmp_path / "g.csv.s.csv").mkdir()  # a directory where the derived path points
+    monkeypatch.setattr(cli, "run_dual_enkf", lambda *a, **k: pytest.fail("ran before the check"))
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path.format(tmp=tmp_path)}: "), err
@@ -1082,6 +1083,20 @@ def test_step_errors_exit_codes(tmp_path, capsys, monkeypatch, raised, code, mes
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists()
+
+
+def test_unallocatable_gain_exits_2(tmp_path, capsys, monkeypatch):
+    # a stub kernel that cannot be allocated, raised inside fpf_step: a usage
+    # error (exit 2), not a numeric failure of the filter (exit 1)
+    def diffusion_map_gain(particles, h_values, eps):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (31623, 31623)")
+    monkeypatch.setattr(cli, "diffusion_map_gain", diffusion_map_gain)
+    out = tmp_path / "o.csv"
+    assert main(["filter", "--method", "fpf-dm", "--n", "20", "--T", "0.1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the configuration does not fit in memory: Unable to allocate "
+                            "7.45 GiB for an array with shape (31623, 31623)\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("sub", list(_BASE_ARGV))

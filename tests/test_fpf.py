@@ -113,13 +113,29 @@ class TestFpfStep:
         assert abs(run.means[-1][0] - target[0]) <= 3.0 / np.sqrt(10_000)
 
     def test_gain_failure_is_wrapped(self):
+        # a numeric failure of the gain, LAPACK's included, gets the step's time
+        model = make_static_param(1, 1.0, 1.0)
+        for error in (GainSolveError("boom"), np.linalg.LinAlgError("boom")):
+            def broken(particles, h_values):
+                raise error
+
+            with pytest.raises(FilterDivergenceError, match="gain computation failed at t=0: boom"):
+                fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model, broken,
+                         RngStream(0))
+
+    @pytest.mark.parametrize("error", [MemoryError("no room"), ValueError("bad"), ConfigError("bad")],
+                             ids=["MemoryError", "ValueError", "ConfigError"])
+    def test_other_gain_errors_pass_through(self, error):
+        # a kernel that cannot be allocated is no numeric failure of the filter:
+        # the error reaches the caller as raised (the CLI maps it to exit 2)
         model = make_static_param(1, 1.0, 1.0)
 
         def broken(particles, h_values):
-            raise RuntimeError("boom")
+            raise error
 
-        with pytest.raises(FilterDivergenceError, match="gain computation failed"):
+        with pytest.raises(type(error)) as raised:
             fpf_step(Ensemble(np.array([[0.0], [1.0]])), np.zeros(1), 0.1, model, broken, RngStream(0))
+        assert raised.value is error
 
     @pytest.mark.parametrize("gain_method, error", [
         (constant_gain, "particle became nonfinite"),

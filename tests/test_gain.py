@@ -598,13 +598,15 @@ class TestDiffusionMapGain:
         np.testing.assert_array_equal(T_solved, T)
 
     def test_traced_peak_two_arrays(self):
-        # with eps "auto", T and the upper triangle the median selects in
-        # (1.5 N^2); with a numeric eps, T and one row block of about 128 KB
-        # (1.02-1.04 N^2 at N = 1000).  The solve holds only T (the dense
+        # one N x N array either way: with a numeric eps, T and one row block
+        # of about 128 KB (1.02-1.04 N^2 at N = 1000); with eps "auto" also
+        # the pair sample and the entries between the median's pivots, about
+        # 3% of the triangle (1.06 N^2; the copy of the whole triangle it
+        # once selected in made 1.5 N^2).  The solve holds only T (the dense
         # reference peaked at about 6 N^2)
         n = 1000
         x = RngStream(21).standard_normal((n, 2))
-        for eps, bound in (("auto", 1.6), (0.3, 1.1)):
+        for eps, bound in (("auto", 1.1), (0.3, 1.1)):
             diffusion_map_gain(x, x[:, :1], eps)
             with traced_peak() as peak:
                 diffusion_map_gain(x, x[:, :1], eps)
@@ -613,8 +615,9 @@ class TestDiffusionMapGain:
     @pytest.mark.parametrize("eps", [0.3, "auto"])
     def test_traced_peak_refused_call(self, eps):
         # the refusal reads the nearest neighbour from one row of distances,
-        # and a numeric eps's hint builds its distances and median (1.5 N^2)
-        # only after T is released (the two arrays together peaked at 2.5 N^2)
+        # and a numeric eps's hint builds its distances and median (about
+        # 1.06 N^2) only after T is released (the two arrays together peaked
+        # at 2.5 N^2)
         n = 1000
         x = np.append(RngStream(21).standard_normal((n - 1, 2)), [[50.0, 50.0]], axis=0)
         refused = partial(pytest.raises, GainSolveError, match=f"1 of {n} particles isolated")
@@ -622,7 +625,7 @@ class TestDiffusionMapGain:
             diffusion_map_gain(x, x[:, :1], eps)
         with traced_peak() as peak, refused():
             diffusion_map_gain(x, x[:, :1], eps)
-        assert peak[0] <= 1.6 * n * n * 8
+        assert peak[0] <= 1.1 * n * n * 8
 
     def test_auto_bandwidth_positive(self):
         x = make_bimodal(0.2).sample(RngStream(3), 50)
@@ -644,7 +647,7 @@ class TestDiffusionMapGain:
             d2[0, n - 1] = np.nan
         med = np.median(d2[np.triu_indices(n, 1)])
         expected = 1.0 if med <= 0 else med / (4.0 * max(np.log(n), 1.0))
-        got = gain._median_bandwidth(d2)
+        got = gain._median_bandwidth(d2, x)
         assert got == expected or (np.isnan(got) and np.isnan(expected))
 
     @pytest.mark.parametrize("n, decimals", [(500, None), (502, 1), (1000, 1), (1000, None)])
@@ -661,7 +664,7 @@ class TestDiffusionMapGain:
                 d2[n // 3, n - 1] = np.nan
             med = np.median(d2[np.triu_indices(n, 1)])
             expected = med / (4.0 * np.log(n))
-            got = gain._median_bandwidth(d2)
+            got = gain._median_bandwidth(d2, x)
             assert got == expected or (nan and np.isnan(got) and np.isnan(expected))
 
     @pytest.mark.parametrize("n, d", [(2, 1), (131, 3), (1000, 2), (2000, 1)])
@@ -672,22 +675,147 @@ class TestDiffusionMapGain:
         np.testing.assert_array_equal(d2, d2.T)
         assert np.all(np.diag(d2) == 0.0)
 
-    def test_auto_bandwidth_loads_no_numpy_ma(self):
-        # np.median imports numpy.ma; loaded inside a timed gain call, its
-        # objects make the process's peak RSS depend on heap layout
+    def test_first_calls_import_nothing(self):
+        # a module imported inside a timed gain call (np.median's numpy.ma,
+        # say) leaves objects that can pin the heap above later calls' N x N
+        # buffers, and the process's peak RSS then depends on heap layout.
+        # The first calls of a process at eps "auto", at a numeric eps and at
+        # a refused one (whose hint runs the median rule) import nothing
         import os
         import subprocess
         import sys
         from pathlib import Path
 
-        script = ("import sys; import numpy as np; from cips.gain import diffusion_map_gain; "
-                  "x = np.random.default_rng(0).standard_normal((50, 2)); "
-                  "diffusion_map_gain(x, x, 'auto'); print('numpy.ma' in sys.modules)")
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from cips.exceptions import GainSolveError",
+            "from cips.gain import diffusion_map_gain",
+            "x = np.random.default_rng(0).standard_normal((50, 2))",
+            "far = np.append(x, [[50.0, 50.0]], axis=0)",
+            "before = set(sys.modules)",
+            "diffusion_map_gain(x, x, 'auto')",
+            "diffusion_map_gain(x, x, 0.3)",
+            "try:",
+            "    diffusion_map_gain(far, far, 0.3)",
+            "except GainSolveError as err:",
+            "    assert 'try eps around' in str(err)",
+            "print(sorted(set(sys.modules) - before))",
+        ])
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+
+def numpy_median_rule(d2):
+    """The median rule as np.median of the strict upper triangle through np.triu_indices."""
+    n = d2.shape[0]
+    med = np.median(d2[np.triu_indices(n, 1)])
+    return 1.0 if med <= 0 else med / (4.0 * max(np.log(n), 1.0))
+
+
+def assert_median_rule(x):
+    """The median rule, counted while the distances are built and over built ones, is np.median's.
+
+    Bit for bit, a NaN matching a NaN.  Returns the bandwidth.
+    """
+    d2, got = gain._dists_and_bandwidth(x)
+    expected = numpy_median_rule(d2)
+    for value in (got, gain._median_bandwidth(d2, x), auto_bandwidth(x)):
+        assert value == expected or (np.isnan(value) and np.isnan(expected)), (value, expected)
+    return got
+
+
+def two_clusters(p, q):
+    """p particles near 0 and q near 100 on a line, shuffled.
+
+    With (p - q)^2 = p + q there are as many pairs within the clusters as
+    between them: the even count's two middle entries are the largest
+    distance within a cluster and the smallest across the gap.
+    """
+    rng = RngStream(p)
+    x = np.concatenate([rng.uniform(0.0, 1.0, p), rng.uniform(100.0, 101.0, q)])
+    return rng.permutation(x)[:, None]
+
+
+class TestMedianSelection:
+    """The median bandwidth from sampled pivots and one counting pass, against np.median."""
+
+    @pytest.mark.parametrize("x", [
+        np.eye(20),                                       # every distance 2.0: lo == hi
+        np.eye(21),                                       # the same with an odd pair count
+        np.ones((50, 3)),                                 # every distance 0: the rule's 1.0
+        two_clusters(21, 15),                             # 36 particles, 630 pairs
+        two_clusters(210, 190),                           # 400 particles, 79800 pairs
+        RngStream(2).standard_normal((2, 2)),             # one pair
+        RngStream(3).standard_normal((3, 1)),             # three pairs, odd
+        RngStream(4).standard_normal((4, 2)),             # six pairs, even
+        RngStream(6).standard_normal((6, 3)),             # 15 pairs, odd
+        RngStream(999).standard_normal((999, 2)),         # 498501 pairs, odd
+        RngStream(1000).standard_normal((1000, 2)),       # 499500 pairs, even
+        1e160 * RngStream(7).standard_normal((300, 2)),   # every distance overflows to inf
+        np.concatenate([1e160 * RngStream(8).standard_normal((51, 1)),
+                        RngStream(9).standard_normal((250, 1))]),  # 31% inf, above the median
+        np.concatenate([1e160 * RngStream(10).standard_normal((150, 1)),
+                        RngStream(11).standard_normal((151, 1))]),  # 75% inf: an inf median
+        np.round(RngStream(12).standard_normal((700, 2)), 1),      # many ties at the pivots
+    ], ids=["tied-even", "tied-odd", "all-zero", "gap-36", "gap-400", "n2", "n3", "n4", "n6",
+            "n999-odd", "n1000-even", "inf-all", "inf-half", "inf-median", "coarse-grid"])
+    def test_matches_numpy_median(self, x):
+        with np.errstate(over="ignore"):
+            assert_median_rule(x)
+
+    def test_gap_median_straddles_the_clusters(self):
+        # the two middle entries are the gap's two sides, and the rule takes their mean
+        x = two_clusters(210, 190)
+        d2 = gain._pairwise_sq_dists(x)
+        upper = d2[np.triu_indices(400, 1)]
+        within, across = upper[upper < 50.0**2], upper[upper > 50.0**2]
+        assert within.size == across.size
+        expected = (within.max() + across.min()) / 2.0 / (4.0 * np.log(400))
+        assert assert_median_rule(x) == expected
+
+    @pytest.mark.parametrize("n, elems", [(7, 2**14), (40, 2**14), (40, 120), (300, 2**14)])
+    def test_nan_in_any_position(self, monkeypatch, n, elems):
+        # one NaN in the strict upper triangle, in a block's rectangle or its
+        # diagonal square, the last block's included, makes the median NaN
+        # (at N = 40 and 120 entries a block, three rows each)
+        monkeypatch.setattr(gain, "_BLOCK_ELEMS", elems)
+        x = RngStream(n).standard_normal((n, 2))
+        d2 = gain._pairwise_sq_dists(x)
+        step = max(1, n // 7)
+        for i in range(0, n - 1, step):
+            for j in range(i + 1, n, step):
+                nan = d2.copy()
+                nan[i, j] = nan[j, i] = np.nan
+                assert np.isnan(gain._median_bandwidth(nan, x)), (i, j)
+
+    @pytest.mark.parametrize("where", [0, 13, 49])
+    def test_nan_particle(self, where):
+        x = RngStream(5).standard_normal((50, 2))
+        x[where, 1] = np.nan
+        assert np.isnan(assert_median_rule(x))
+
+    def test_pivots_that_miss_are_widened(self, monkeypatch):
+        # the sample's offsets are 2, 6, ..., 62 at N = 128, all even, so with
+        # the odd-numbered particles 100 away from the even ones it holds
+        # only pairs within a cluster, while the median lies across the gap
+        widths = []
+
+        def spy(x, widen):
+            widths.append(widen)
+            return new_tally(x, widen)
+
+        new_tally = gain._new_tally
+        monkeypatch.setattr(gain, "_new_tally", spy)
+        x = (100.0 * (np.arange(128) % 2) + RngStream(13).uniform(0.0, 1.0, 128))[:, None]
+        gain._dists_and_bandwidth(x)
+        assert widths[0] == 0 and max(widths) >= 1
+        widths.clear()
+        assert_median_rule(x)
+        assert max(widths) >= 1
 
 
 def closed_form_twin(density, x):
