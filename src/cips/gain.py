@@ -250,7 +250,7 @@ def _tally(part: np.ndarray, tally: dict) -> None:
     """
     lo, hi = tally["lo"], tally["hi"]
     below = part < lo
-    mid = below == (part > hi)
+    mid = below == (part > hi)      # neither below lo nor above hi, as a NaN is neither
     tally["below"] += np.count_nonzero(below)
     if lo < hi:
         tally["pieces"].append(part[mid])
