@@ -123,140 +123,95 @@ CG_MAXITER = 1000
 
 def auto_bandwidth(particles: np.ndarray) -> float:
     """Rule-of-thumb kernel bandwidth: median pairwise sq. distance / (4 log N)."""
-    return _dists_and_bandwidth(_as_matrix(particles))[1]
+    return _median_bandwidth(_pairwise_sq_dists(_as_matrix(particles)))
 
 
 # The median of the N(N-1)/2 pair distances is selected without copying them
-# (Floyd & Rivest 1975): a sample of about _SAMPLE_OFFSETS N pairs places two
-# pivots _BRACKET sqrt(sample size) sample ranks outside the median's rank(s),
-# one pass over the triangle counts the entries below and gathers those
-# between, and a select in the gathered ones finishes.
+# (Floyd & Rivest 1975): about _SAMPLE_OFFSETS N pairs read off the built
+# distances place two pivots _BRACKET sqrt(sample size) sample ranks outside
+# the median's rank(s), one pass over the triangle counts the entries below
+# and gathers those between, and a select in the gathered ones finishes.
 _SAMPLE_OFFSETS = 16
 _BRACKET = 2.0
 
 
-def _dists_and_bandwidth(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The pairwise squared distances and the median rule on them, counted while they are built."""
-    tally = _new_tally(x, 0)
-    d2 = _pairwise_sq_dists(x, tally)
-    _tally(_diagonal_squares(d2), tally)
-    return d2, _median_bandwidth(d2, x, tally)
-
-
-def _median_bandwidth(d2: np.ndarray, x: np.ndarray, tally: dict | None = None) -> float:
+def _median_bandwidth(d2: np.ndarray) -> float:
     """:func:`auto_bandwidth` from the strict upper triangle of d2, bit for bit np.median's.
 
-    The pivots come from pair distances of the particles x (``_new_tally``);
-    ``tally`` is a first count already made, as the build makes it.
     The median is the entry of rank h for an odd pair count and the mean
     (a + b) / 2.0 of ranks h - 1 and h for an even one, as in np.median
-    (h = half the count, ranks from 0).  An entry tied with a pivot is
-    classed with the bracket; when both pivots are one value, the bracket's
-    entries are that value and only counted.  A NaN is in none of the
-    classes below, within and above the bracket and makes the median NaN,
-    as np.median's does (without its NaN check, which imports numpy.ma
-    inside the first call of a process, where its objects can pin the heap
-    above later calls' N x N buffers).  Pivots that miss a rank are placed
-    again four times as far out in the sample and the triangle is counted
-    again; past the sample's ends they are -inf and inf, which gather every
-    entry.
+    (h = half the count, ranks from 0), which is not called: its NaN check
+    imports numpy.ma inside the first call of a process, where its objects
+    can pin the heap above later calls' N x N buffers.  Each block's
+    rectangle d2[blk, blk.stop:], then the blocks' diagonal squares, is
+    classed against the pivots lo <= hi (``_pivots``) while in cache: the
+    entries below lo are counted and those in [lo, hi] gathered, or only
+    counted when lo == hi, as they then all equal lo.  Pivots that miss a
+    rank are placed again four times as far out in the sample and the
+    triangle is classed again; past the sample's ends they are -inf and inf,
+    which gather every entry.
     """
     n = d2.shape[0]
-    ranks = _median_ranks(n)
+    size = n * (n - 1) // 2
+    ranks = (size // 2,) if size % 2 else (size // 2 - 1, size // 2)
     widen = 0
     while True:
-        if tally is None:
-            tally = _new_tally(x, widen)
-            for blk in _row_blocks(n):
-                _tally(d2[blk, blk.stop:], tally)
-            _tally(_diagonal_squares(d2), tally)
-        lo, hi, below = tally["lo"], tally["hi"], tally["below"]
-        mid = np.concatenate(tally["pieces"])
-        if np.isnan(mid).any():
-            med = np.nan
-            break
-        k = ranks[-1] - below                   # the upper rank among the bracket's entries
-        if below <= ranks[0] and k < (mid.size if lo < hi else tally["ties"]):
+        lo, hi = _pivots(d2, ranks, widen)
+        below, inside, pieces = 0, 0, []
+        for part in [d2[blk, blk.stop:] for blk in _row_blocks(n)] + [_diagonal_squares(d2)]:
+            low = part < lo
+            mid = low == (part > hi)       # neither below lo nor above hi
+            below += np.count_nonzero(low)
             if lo < hi:
-                mid.partition(k)
-                b = mid[k]
-                # mid[:k] holds the k smallest: its max is the lower middle entry
-                a = mid[:k].max() if len(ranks) == 2 else b
+                pieces.append(part[mid])
             else:
-                a = b = lo
-            med = float((a + b) / 2.0 if len(ranks) == 2 else b)
+                inside += np.count_nonzero(mid)
+        if lo < hi:
+            between = np.concatenate(pieces)
+            inside = between.size
+        k = ranks[-1] - below                   # the upper rank among the bracket's entries
+        if below <= ranks[0] and k < inside:
             break
-        tally, widen = None, widen + 1
+        widen += 1
+    if lo < hi:
+        between.partition(k)
+        b = between[k]
+        # between[:k] holds the k smallest: its max is the lower middle entry
+        a = between[:k].max() if len(ranks) == 2 else b
+    else:
+        a = b = lo
+    med = float((a + b) / 2.0 if len(ranks) == 2 else b)
     if med <= 0:
         return 1.0
     return med / (4.0 * max(np.log(n), 1.0))
 
 
-def _median_ranks(n: int) -> tuple[int, ...]:
-    """The ranks (from 0) of the entries whose mean is the median of N particles' pair distances."""
-    size = n * (n - 1) // 2
-    h = size // 2
-    return (h,) if size % 2 else (h - 1, h)
+def _pivots(d2: np.ndarray, ranks: tuple[int, ...], widen: int) -> tuple[float, float]:
+    """Pivots lo <= hi around the given ranks of d2's strict upper triangle, from a sample of it.
 
-
-def _pair_sample(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 over the pairs (i, i + o mod N), o at up to about _SAMPLE_OFFSETS strides of 1..N/2.
-
-    Every particle is in as many pairs as every other, and the index gaps
-    are spread as those of the whole triangle; nothing is drawn at random.
+    The sample is d2[i, i + o mod N] at up to about _SAMPLE_OFFSETS strides
+    o of 1..N/2: every particle is in as many pairs as every other, the index
+    gaps are spread as those of the whole triangle, and nothing is drawn at
+    random.  lo and hi are its entries _BRACKET 4**widen sqrt(m) ranks below
+    and above where the ranks fall among its m entries, or -inf and inf past
+    its ends.
     """
-    n = x.shape[0]
+    n = d2.shape[0]
     half = n // 2
     step = max(1, half // _SAMPLE_OFFSETS)
     offsets = np.arange(1 + (step - 1) // 2, half + 1, step)     # the middles of the strides
-    j = np.arange(n) + offsets[:, None]          # i + o, read from x twice over
-    sample = np.zeros(j.shape)
-    for col in x.T:
-        sample += (np.concatenate([col, col])[j] - col) ** 2
-    return sample.ravel()
-
-
-def _new_tally(x: np.ndarray, widen: int) -> dict:
-    """Pivots lo <= hi around the median's ranks among x's pair distances, and no counts yet.
-
-    lo and hi are the entries of ``_pair_sample(x)`` _BRACKET 4**widen
-    sqrt(m) ranks below and above where the ranks fall among its m non-NaN
-    entries, or -inf and inf past its ends.
-    """
-    n = x.shape[0]
-    sample = _pair_sample(x)
-    ranks = _median_ranks(n)
-    size = n * (n - 1) // 2
-    m = sample.size - int(np.count_nonzero(np.isnan(sample)))
+    # the pairs (i, i + o mod N) lie on d2's diagonals o and o - N, read as views
+    sample = np.concatenate([np.diagonal(d2, k) for o in offsets for k in (o, o - n)])
+    m, size = sample.size, n * (n - 1) // 2
     margin = _BRACKET * 4.0 ** widen * math.sqrt(m)
     j_lo = math.floor(ranks[0] * m / size - margin)
     j_hi = math.ceil((ranks[-1] + 1) * m / size + margin)
     # two one-rank selects (numpy's select of two ranks at once took 8 times one's time)
-    if 0 <= j_hi < m:
+    if j_hi < m:
         sample.partition(j_hi)
-    if 0 <= j_lo < m:
+    if j_lo >= 0:
         sample[:j_hi].partition(j_lo)
-    return {"lo": sample[j_lo] if 0 <= j_lo < m else -np.inf,
-            "hi": sample[j_hi] if 0 <= j_hi < m else np.inf,
-            "below": 0, "ties": 0, "pieces": []}
-
-
-def _tally(part: np.ndarray, tally: dict) -> None:
-    """Class the entries of ``part`` against ``tally``'s pivots lo <= hi.
-
-    An entry below lo adds to ``below``; one in [lo, hi], or a NaN, is
-    gathered into ``pieces``, or when lo == hi adds to ``ties`` and only a
-    NaN is gathered.
-    """
-    lo, hi = tally["lo"], tally["hi"]
-    below = part < lo
-    mid = below == (part > hi)      # neither below lo nor above hi, as a NaN is neither
-    tally["below"] += np.count_nonzero(below)
-    if lo < hi:
-        tally["pieces"].append(part[mid])
-    else:       # the bracket's entries all equal lo: count them, and gather only NaNs
-        tally["ties"] += np.count_nonzero(mid)
-        tally["pieces"].append(part[mid & (part != lo)])
+    return sample[j_lo] if j_lo >= 0 else -np.inf, sample[j_hi] if j_hi < m else np.inf
 
 
 def _block_rows(n: int) -> int:
@@ -284,14 +239,16 @@ def _diagonal_squares(d2: np.ndarray) -> np.ndarray:
     return d2[i[keep], j[keep]]
 
 
-def _pairwise_sq_dists(x: np.ndarray, tally: dict | None = None) -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """|x_i - x_j|^2 = sum_k (x_ik - x_jk)^2 as one N x N array, filled by row blocks.
 
     x_ik - x_jk only changes sign under i <-> j, so the array is exactly symmetric with a
     zero diagonal, and a shift of the particles cancels in each difference.  One scratch block.
-    If ``tally`` is given, each finished block's part right of its diagonal square,
-    d2[blk, blk.stop:], is classed into it (``_tally``) while in cache.
+    Nonfinite particles raise ``ValueError``; from finite ones a distance can overflow to
+    inf but is never NaN.
     """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("particles contain nonfinite coordinates")
     n = x.shape[0]
     d2 = np.empty((n, n))
     xt = np.ascontiguousarray(x.T)
@@ -304,8 +261,6 @@ def _pairwise_sq_dists(x: np.ndarray, tally: dict | None = None) -> np.ndarray:
             np.square(np.subtract(col[blk, None], col, out=dst), out=dst)
             if k:
                 rows += part
-        if tally is not None:
-            _tally(d2[blk, blk.stop:], tally)
     return d2
 
 
@@ -412,7 +367,7 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     either kind of eps, in two passes over row blocks of about 128 KB.  A row
     whose off-diagonal mass is lost to rounding, or a kernel graph T_ij > 0 in
     several connected parts, leaves the fixed point without a unique solution
-    and raises ``GainSolveError``.
+    and raises ``GainSolveError``, as does an eps "auto" that overflows to inf.
     """
     n = x.shape[0]
     if n < 2:
@@ -423,7 +378,11 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
     if not auto and float(eps) <= 0:
         raise GainSolveError("kernel bandwidth eps must be positive")
 
-    T, eps = _dists_and_bandwidth(x) if auto else (_pairwise_sq_dists(x), float(eps))
+    T = _pairwise_sq_dists(x)
+    eps = _median_bandwidth(T) if auto else float(eps)
+    if auto and eps == np.inf:      # d2 / -(4 eps) would be inf / inf, a NaN
+        raise GainSolveError(f"the median pair squared distance of the {n} particles "
+                             f"overflowed to inf, and with it eps 'auto'")
     # g = exp(-d2 / (4 eps)) and its row sums; d2 / -(4 eps) has the bits of -d2 / (4 eps)
     row = np.empty(n)
     for blk in _row_blocks(n):
@@ -439,7 +398,7 @@ def _markov_matrix(x: np.ndarray, eps: float | str) -> tuple[np.ndarray, np.ndar
         del T                          # the hint's distances replace it
         first = int(isolated[0])
         nearest = float(np.min(np.delete(np.sum((x - x[first]) ** 2, axis=1), first)))
-        hint = "" if auto else f"; try eps around {_dists_and_bandwidth(x)[1]:.3e}"
+        hint = "" if auto else f"; try eps around {_median_bandwidth(_pairwise_sq_dists(x)):.3e}"
         raise GainSolveError(
             f"{isolated.size} of {n} particles isolated: their off-diagonal kernel mass is "
             f"below the rounding of 1 at eps={eps:.3e} (first: particle {first}, "
@@ -491,8 +450,8 @@ def diffusion_map_gain(particles: np.ndarray, h_values: np.ndarray, eps: float |
     Memory: a call peaks at one N x N float64 array, T, and one row block of
     about 128 KB.  eps ``"auto"``, and a refusal's hint after T is released,
     add twice the distances between the median's pivots (about N^1.5 / 2),
-    gathered while T is built: 1.06 N x N at N = 1000.  The solve adds a few
-    N x m vectors.
+    gathered from the built distances: 1.06 N x N at N = 1000.  The solve
+    adds a few N x m vectors.  Nonfinite particles raise ``ValueError``.
     """
     x = _as_matrix(particles)
     h = _as_matrix(h_values)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -748,6 +749,23 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         for text in expected + ["nearest-neighbour"]:
             assert text in err
         assert "Singular matrix" not in err
+        assert not out.exists()
+
+    # the first step throws the particles so far that the moments overflow
+    # (core.py, a documented numeric failure) and so do the next step's distances
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_filter_dm_overflowing_bandwidth_exits_1(self, tmp_path, capsys):
+        # eps "auto" is inf there and is refused before d2 / -(4 eps) makes a
+        # NaN of inf / inf: the run named a split kernel graph instead
+        out = tmp_path / "dm.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["filter", "--method", "fpf-dm", "--sigma0", "1e100", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "median pair squared distance of the 1000 particles overflowed to inf" in err
+        assert "splits into" not in err
+        assert caught and all(str(w.message).startswith("overflow") for w in caught), caught
         assert not out.exists()
 
     def test_bench_levelsets_one_rep_exits_2(self, tmp_path, capsys):

@@ -467,6 +467,26 @@ class TestDiffusionMapGain:
         _, _, eps = gain._markov_matrix(x, "auto")
         assert eps == auto_bandwidth(x)
 
+    def test_overflowing_auto_bandwidth_raises(self):
+        # every pair distance overflows, and with them the median rule: eps
+        # "auto" is inf, refused before d2 / -(4 eps) turns inf / inf into NaN
+        x = 1e160 * RngStream(7).standard_normal((300, 2))
+        with np.errstate(over="ignore"):
+            assert auto_bandwidth(x) == np.inf
+            with pytest.raises(GainSolveError, match="median pair squared distance of the 300 "
+                                                     "particles overflowed to inf"):
+                gain._markov_matrix(x, "auto")
+
+    @pytest.mark.parametrize("eps", ["auto", 0.3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_particle_refused(self, eps, value):
+        x = RngStream(5).standard_normal((50, 2))
+        x[13, 1] = value
+        with pytest.raises(ValueError, match="nonfinite"):
+            diffusion_map_gain(x, x[:, :1], eps)
+        with pytest.raises(ValueError, match="nonfinite"):
+            auto_bandwidth(x)
+
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         n=st.integers(2, 300),
@@ -636,36 +656,34 @@ class TestDiffusionMapGain:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=st.integers(2, 40), d=st.integers(1, 3), decimals=st.sampled_from([None, 0, 1]),
-           nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_auto_bandwidth_is_the_numpy_median_rule(self, n, d, decimals, nan, seed):
-        # bit for bit, odd and even pair counts, tied distances and a NaN
+           far=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_auto_bandwidth_is_the_numpy_median_rule(self, n, d, decimals, far, seed):
+        # bit for bit, odd and even pair counts, tied distances and a particle
+        # so far out that its distances overflow to inf
         x = RngStream(seed).standard_normal((n, d))
         if decimals is not None:
             x = np.round(x, decimals)
-        d2 = gain._pairwise_sq_dists(x)
-        if nan:
-            d2[0, n - 1] = np.nan
-        med = np.median(d2[np.triu_indices(n, 1)])
-        expected = 1.0 if med <= 0 else med / (4.0 * max(np.log(n), 1.0))
-        got = gain._median_bandwidth(d2, x)
-        assert got == expected or (np.isnan(got) and np.isnan(expected))
+        if far:
+            x[0, 0] = 1e160
+        with np.errstate(over="ignore"):
+            d2 = gain._pairwise_sq_dists(x)
+        assert gain._median_bandwidth(d2) == numpy_median_rule(d2)
 
     @pytest.mark.parametrize("n, decimals", [(500, None), (502, 1), (1000, 1), (1000, None)])
     def test_auto_bandwidth_is_the_numpy_median_rule_large(self, n, decimals):
         # the single-kth select at sizes past the hypothesis cases: even
         # (500, 1000) and odd (502) pair counts, ties (points on a coarse
-        # grid) and a NaN
+        # grid) and a particle whose distances overflow to inf
         x = RngStream(n).standard_normal((n, 2))
         if decimals is not None:
             x = np.round(x, decimals)
-        d2 = gain._pairwise_sq_dists(x)
-        for nan in (False, True):
-            if nan:
-                d2[n // 3, n - 1] = np.nan
-            med = np.median(d2[np.triu_indices(n, 1)])
-            expected = med / (4.0 * np.log(n))
-            got = gain._median_bandwidth(d2, x)
-            assert got == expected or (nan and np.isnan(got) and np.isnan(expected))
+        for far in (False, True):
+            if far:
+                x[n // 3, 0] = 1e160
+            with np.errstate(over="ignore"):
+                d2 = gain._pairwise_sq_dists(x)
+            expected = np.median(d2[np.triu_indices(n, 1)]) / (4.0 * np.log(n))
+            assert gain._median_bandwidth(d2) == expected
 
     @pytest.mark.parametrize("n, d", [(2, 1), (131, 3), (1000, 2), (2000, 1)])
     def test_pairwise_sq_dists_exactly_symmetric(self, n, d):
@@ -717,14 +735,14 @@ def numpy_median_rule(d2):
 
 
 def assert_median_rule(x):
-    """The median rule, counted while the distances are built and over built ones, is np.median's.
+    """The median rule, on the built distances and through ``auto_bandwidth``, is np.median's, bit for bit.
 
-    Bit for bit, a NaN matching a NaN.  Returns the bandwidth.
+    Returns the bandwidth.
     """
-    d2, got = gain._dists_and_bandwidth(x)
+    d2 = gain._pairwise_sq_dists(x)
+    got = gain._median_bandwidth(d2)
     expected = numpy_median_rule(d2)
-    for value in (got, gain._median_bandwidth(d2, x), auto_bandwidth(x)):
-        assert value == expected or (np.isnan(value) and np.isnan(expected)), (value, expected)
+    assert got == expected and auto_bandwidth(x) == expected, (got, expected)
     return got
 
 
@@ -741,7 +759,7 @@ def two_clusters(p, q):
 
 
 class TestMedianSelection:
-    """The median bandwidth from sampled pivots and one counting pass, against np.median."""
+    """The median bandwidth from sampled pivots and one classing pass, against np.median."""
 
     @pytest.mark.parametrize("x", [
         np.eye(20),                                       # every distance 2.0: lo == hi
@@ -777,26 +795,26 @@ class TestMedianSelection:
         expected = (within.max() + across.min()) / 2.0 / (4.0 * np.log(400))
         assert assert_median_rule(x) == expected
 
+    @pytest.mark.parametrize("decimals", [None, 0])
     @pytest.mark.parametrize("n, elems", [(7, 2**14), (40, 2**14), (40, 120), (300, 2**14)])
-    def test_nan_in_any_position(self, monkeypatch, n, elems):
-        # one NaN in the strict upper triangle, in a block's rectangle or its
-        # diagonal square, the last block's included, makes the median NaN
-        # (at N = 40 and 120 entries a block, three rows each)
+    def test_every_position_is_classed(self, monkeypatch, n, elems, decimals):
+        # one entry of the strict upper triangle moved across the median, in a
+        # block's rectangle or its diagonal square, the last block's included,
+        # moves the median as it moves np.median's (at N = 40 and 120 entries
+        # a block, three rows each); rounded particles tie at the pivots
         monkeypatch.setattr(gain, "_BLOCK_ELEMS", elems)
         x = RngStream(n).standard_normal((n, 2))
+        if decimals is not None:
+            x = np.round(x, decimals)
         d2 = gain._pairwise_sq_dists(x)
+        assert gain._median_bandwidth(d2) == numpy_median_rule(d2)
+        med = np.median(d2[np.triu_indices(n, 1)])
         step = max(1, n // 7)
         for i in range(0, n - 1, step):
             for j in range(i + 1, n, step):
-                nan = d2.copy()
-                nan[i, j] = nan[j, i] = np.nan
-                assert np.isnan(gain._median_bandwidth(nan, x)), (i, j)
-
-    @pytest.mark.parametrize("where", [0, 13, 49])
-    def test_nan_particle(self, where):
-        x = RngStream(5).standard_normal((50, 2))
-        x[where, 1] = np.nan
-        assert np.isnan(assert_median_rule(x))
+                moved = d2.copy()
+                moved[i, j] = moved[j, i] = 0.0 if d2[i, j] > med else 1e6
+                assert gain._median_bandwidth(moved) == numpy_median_rule(moved), (i, j)
 
     def test_pivots_that_miss_are_widened(self, monkeypatch):
         # the sample's offsets are 2, 6, ..., 62 at N = 128, all even, so with
@@ -804,18 +822,15 @@ class TestMedianSelection:
         # only pairs within a cluster, while the median lies across the gap
         widths = []
 
-        def spy(x, widen):
+        def spy(d2, ranks, widen):
             widths.append(widen)
-            return new_tally(x, widen)
+            return pivots(d2, ranks, widen)
 
-        new_tally = gain._new_tally
-        monkeypatch.setattr(gain, "_new_tally", spy)
+        pivots = gain._pivots
+        monkeypatch.setattr(gain, "_pivots", spy)
         x = (100.0 * (np.arange(128) % 2) + RngStream(13).uniform(0.0, 1.0, 128))[:, None]
-        gain._dists_and_bandwidth(x)
-        assert widths[0] == 0 and max(widths) >= 1
-        widths.clear()
         assert_median_rule(x)
-        assert max(widths) >= 1
+        assert widths[0] == 0 and max(widths) >= 1
 
 
 def closed_form_twin(density, x):
