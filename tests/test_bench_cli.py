@@ -751,12 +751,13 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert "Singular matrix" not in err
         assert not out.exists()
 
-    # the first step throws the particles so far that the moments overflow
-    # (core.py, a documented numeric failure) and so do the next step's distances
+    # the run's own overflows (the moments after the first step, a documented
+    # numeric failure, and the next step's distances) are recorded and checked
     @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_filter_dm_overflowing_bandwidth_exits_1(self, tmp_path, capsys):
-        # eps "auto" is inf there and is refused before d2 / -(4 eps) makes a
-        # NaN of inf / inf: the run named a split kernel graph instead
+        # the first step throws the particles so far that the next step's
+        # distances overflow: eps "auto" is inf and is refused before
+        # d2 / -(4 eps) makes a NaN of inf / inf (the run named a split kernel graph)
         out = tmp_path / "dm.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
